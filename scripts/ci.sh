@@ -261,27 +261,19 @@ cluster_smoke() {
   kill -TERM "$single_pid" && wait "$single_pid" || true
 
   echo "-- phase B: 3 shards + starring-proxy, owner SIGKILL mid-run"
-  local map="$dir/shards.map"
-  {
-    echo "starring-shard-map v1"
-    echo "epoch 1"
-    echo "replication 2"
-    echo "shards 3"
-    for i in 0 1 2; do
-      echo "shard $i 127.0.0.1:${ports[$i]}"
-    done
-    echo "end"
-  } > "$map"
+  # Formed over gossip: shard 0 founds the cluster, the other shards
+  # and the proxy join through it.
+  local seed_addr="127.0.0.1:${ports[0]}"
   local shard_pids=()
   for i in 0 1 2; do
+    local boot=(--bootstrap)
+    (( i > 0 )) && boot=(--join "$seed_addr")
     STARRING_TRACE_BUFFER=16384 \
     "$build_dir/src/service/starringd" --listen "${ports[$i]}" \
-      --cache-capacity 24 --shard-id "$i" --shard-map "$map" --trace \
+      --cache-capacity 24 --shard-id "$i" "${boot[@]}" --trace \
       > "$dir/shard$i.log" 2>&1 &
     shard_pids+=($!)
     CLUSTER_SMOKE_PIDS+=("${shard_pids[$i]}")
-  done
-  for i in 0 1 2; do
     wait_port "${ports[$i]}" "${shard_pids[$i]}"
   done
   # --trace-out arms span recording in the proxy and, at clean exit,
@@ -289,13 +281,39 @@ cluster_smoke() {
   # file; --slow-ms arms the slow-request flight recorder (dumped to
   # the proxy log at exit).
   STARRING_TRACE_BUFFER=16384 \
-  "$build_dir/src/cluster/starring-proxy" --shard-map "$map" \
-    --listen "$proxy_port" --seed-threshold 2 --health-interval-ms 250 \
+  "$build_dir/src/cluster/starring-proxy" --join "$seed_addr" \
+    --listen "$proxy_port" --seed-threshold 2 \
     --trace-out "$dir/cluster_trace.json" --slow-ms 5 --slow-keep 8 \
     > "$dir/proxy.log" 2>&1 &
   local proxy_pid=$!
   CLUSTER_SMOKE_PIDS+=("$proxy_pid")
   wait_port "$proxy_port" "$proxy_pid"
+  # Every shard alive in the proxy's MEMBERS view before load starts.
+  python3 - "$proxy_port" 3 <<'EOF'
+import socket, sys, time
+port, want = int(sys.argv[1]), int(sys.argv[2])
+deadline = time.time() + 10
+while True:
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as s:
+        s.sendall(b"MEMBERS\n")
+        buf = b""
+        while not buf.endswith(b"end\n"):
+            chunk = s.recv(65536)
+            if not chunk:
+                break
+            buf += chunk
+    alive = 0
+    for line in buf.decode().splitlines():
+        tok = line.split()
+        if len(tok) == 5 and tok[0] == "member" and tok[2] != "-1" \
+                and tok[4] == "alive":
+            alive += 1
+    if alive >= want:
+        break
+    assert time.time() < deadline, f"proxy sees {alive}/{want} shards alive"
+    time.sleep(0.1)
+print(f"cluster smoke: proxy sees {alive} shards alive")
+EOF
   # The kill lands while the workload is in full swing; replication +
   # failover must keep every in-flight and subsequent request terminal.
   ( sleep 2; kill -9 "${shard_pids[2]}" 2>/dev/null ) &
@@ -397,9 +415,9 @@ EOF
   echo "cluster smoke: failover + hit-rate + trace-stitching gates ok"
 }
 
-# Membership-churn drill: the dynamic-membership counterpart of
-# cluster_smoke.  No shard-map file anywhere — shard 0 bootstraps a
-# single-member cluster and everyone else gossips their way in:
+# Membership-churn drill: the live-membership counterpart of
+# cluster_smoke.  Shard 0 bootstraps a single-member cluster and
+# everyone else gossips their way in:
 #
 #   t=0    shard 0 --bootstrap, shard 1 --join, proxy --join
 #   t≈0    9s open-loop zipf load through the proxy starts
@@ -475,7 +493,7 @@ elif mode == "stat":
 EOF
   }
 
-  echo "-- membership churn: bootstrap + join (no shard-map file)"
+  echo "-- membership churn: bootstrap + join"
   "$build_dir/src/service/starringd" --listen "${ports[0]}" --shard-id 0 \
     --bootstrap --cache-capacity 24 "${gossip[@]}" \
     > "$dir/shard0.log" 2>&1 &
@@ -489,7 +507,7 @@ EOF
   CHURN_PIDS+=("$shard1_pid")
   wait_port "${ports[1]}" "$shard1_pid"
   "$build_dir/src/cluster/starring-proxy" --join "$seed_addr" \
-    --listen "$proxy_port" --seed-threshold 2 --health-interval-ms 250 \
+    --listen "$proxy_port" --seed-threshold 2 \
     "${gossip[@]}" > "$dir/proxy.log" 2>&1 &
   local proxy_pid=$!
   CHURN_PIDS+=("$proxy_pid")

@@ -1,7 +1,5 @@
 #include "cluster/membership.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <istream>
 #include <ostream>
@@ -86,8 +84,8 @@ void MembershipTable::bootstrap(std::vector<MemberRecord> members,
   members_.clear();
   for (MemberRecord& m : members) {
     if (m.addr == self_.addr) {
-      // The bootstrap source may know our shard id (static map file);
-      // our incarnation stays our own.
+      // A supplied member list may name our own address with our
+      // shard id; our incarnation stays our own.
       if (m.shard_id >= 0) self_.shard_id = m.shard_id;
       continue;
     }
@@ -354,22 +352,6 @@ MembershipAgent::MembershipAgent(MemberRecord self, MembershipOptions opts)
 
 MembershipAgent::~MembershipAgent() { stop(); }
 
-void MembershipAgent::bootstrap_from_map(const ShardMap& map) {
-  std::vector<MemberRecord> members;
-  members.reserve(map.shards().size());
-  for (const ShardInfo& s : map.shards()) {
-    MemberRecord m;
-    m.addr = net::to_string(s.endpoint);
-    m.shard_id = s.id;
-    m.incarnation = 1;
-    members.push_back(std::move(m));
-  }
-  std::unique_lock<std::mutex> lock(mu_);
-  table_.set_map_params(map.replication(), map.vnodes());
-  table_.bootstrap(std::move(members), map.epoch(), Clock::now());
-  flush_events_locked(lock);
-}
-
 void MembershipAgent::bootstrap_single() {
   std::unique_lock<std::mutex> lock(mu_);
   table_.bootstrap({}, 1, Clock::now());
@@ -382,19 +364,12 @@ bool MembershipAgent::join(const std::string& seed_addr, int attempts) {
       std::this_thread::sleep_for(std::chrono::milliseconds(250));
     const auto ep = net::parse_endpoint(seed_addr);
     if (!ep) return false;
-    const int fd = net::connect_endpoint(*ep, /*nonblocking=*/true);
-    if (fd < 0) continue;
-    net::FdInBuf inbuf(fd, table_.options().probe_timeout_ms * 4);
-    net::FdOutBuf outbuf(fd, table_.options().probe_timeout_ms * 4, nullptr);
-    std::istream is(&inbuf);
-    std::ostream os(&outbuf);
-    GossipMessage msg = make_message(GossipMessage::Kind::kJoin);
-    if (!write_gossip(os, msg) || !os.flush()) {
-      ::close(fd);
-      continue;
-    }
-    auto snap = read_membership(is);
-    ::close(fd);
+    const int timeout_ms = table_.options().probe_timeout_ms * 4;
+    net::Stream conn(*ep, timeout_ms, timeout_ms);
+    if (!conn.ok()) continue;
+    const GossipMessage msg = make_message(GossipMessage::Kind::kJoin);
+    if (!write_gossip(conn.out(), msg) || !conn.out().flush()) continue;
+    auto snap = read_membership(conn.in());
     if (!snap) continue;
     std::unique_lock<std::mutex> lock(mu_);
     table_.absorb(*snap, Clock::now());
@@ -405,9 +380,9 @@ bool MembershipAgent::join(const std::string& seed_addr, int attempts) {
   return false;
 }
 
-void MembershipAgent::on_map_change(MapCallback cb) {
+void MembershipAgent::on_event(EventCallback cb) {
   std::lock_guard<std::mutex> lock(mu_);
-  map_cb_ = std::move(cb);
+  event_cb_ = std::move(cb);
 }
 
 void MembershipAgent::start() {
@@ -538,16 +513,10 @@ std::optional<GossipMessage> MembershipAgent::exchange(
   const auto ep = net::parse_endpoint(addr);
   if (!ep) return std::nullopt;
   const int timeout_ms = table_.options().probe_timeout_ms;
-  const int fd = net::connect_endpoint(*ep, /*nonblocking=*/true);
-  if (fd < 0) return std::nullopt;
-  net::FdInBuf inbuf(fd, timeout_ms);
-  net::FdOutBuf outbuf(fd, timeout_ms, nullptr);
-  std::istream is(&inbuf);
-  std::ostream os(&outbuf);
-  std::optional<GossipMessage> reply;
-  if (write_gossip(os, msg) && os.flush()) reply = read_gossip(is);
-  ::close(fd);
-  return reply;
+  net::Stream conn(*ep, timeout_ms, timeout_ms);
+  if (!conn.ok() || !write_gossip(conn.out(), msg) || !conn.out().flush())
+    return std::nullopt;
+  return read_gossip(conn.in());
 }
 
 void MembershipAgent::probe_round() {
@@ -685,17 +654,13 @@ void MembershipAgent::flush_events_locked(
                        obs::trace::new_span_id(), 0, t, t);
     }
   }
-  if (!map_cb_) return;
-  // Map-change callbacks run unlocked: the proxy's handler swaps the
-  // router map and enqueues seed handoffs, which must not re-enter the
-  // agent under its own lock.
-  MapCallback cb = map_cb_;
-  std::vector<MembershipEvent> map_events;
-  for (const MembershipEvent& e : events)
-    if (e.map_epoch != 0) map_events.push_back(e);
-  if (map_events.empty()) return;
+  if (!event_cb_) return;
+  // Event callbacks run unlocked: the proxy's handler swaps the router
+  // map, feeds its breakers and enqueues seed handoffs, which must not
+  // re-enter the agent under its own lock.
+  EventCallback cb = event_cb_;
   lock.unlock();
-  for (const MembershipEvent& e : map_events) cb(map, e);
+  for (const MembershipEvent& e : events) cb(map, e);
   lock.lock();
 }
 

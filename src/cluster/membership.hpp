@@ -33,8 +33,9 @@
 // on each *confirmed* membership change — join/rejoin, death, leave.
 // Each such change bumps the epoch.  Suspicion deliberately does NOT
 // change the map: a suspect is probably alive (that is the point of
-// the refutation window), so traffic keeps flowing and the router's
-// circuit breakers own the short-term data-path reaction.
+// the refutation window), so it stays placed and the router's circuit
+// breakers own the short-term reaction — the proxy feeds every event to
+// them (ShardRouter::observe), demoting a suspect until it refutes.
 //
 // Two classes split the concerns:
 //   MembershipTable  pure state machine — injected time, no sockets,
@@ -119,11 +120,10 @@ class MembershipTable {
 
   MembershipTable(MemberRecord self, MembershipOptions opts);
 
-  /// Adopt the cluster's map parameters (from a static map file or a
-  /// join snapshot) before/while bootstrapping.
+  /// Adopt the cluster's map parameters (from a join snapshot).
   void set_map_params(int replication, int vnodes);
 
-  /// Install an initial member set (static map file or --bootstrap).
+  /// Install an initial member set (--bootstrap founds with none).
   /// Self is recognized by address and not duplicated.  `epoch` seeds
   /// the first map build.
   void bootstrap(std::vector<MemberRecord> members, std::uint64_t epoch,
@@ -230,7 +230,7 @@ class MembershipAgent {
     std::optional<MembershipRecord> snapshot;
   };
 
-  using MapCallback = std::function<void(
+  using EventCallback = std::function<void(
       std::shared_ptr<const ShardMap>, const MembershipEvent&)>;
   using Clock = MembershipTable::Clock;
 
@@ -239,18 +239,17 @@ class MembershipAgent {
   MembershipAgent(const MembershipAgent&) = delete;
   MembershipAgent& operator=(const MembershipAgent&) = delete;
 
-  /// Exactly one bootstrap call before start().  bootstrap_from_map
-  /// seeds from a static shard-map file (back-compatible path);
-  /// bootstrap_single starts a brand-new cluster with self as the only
-  /// member; join() dials an existing member and adopts its snapshot
-  /// (retrying `attempts` times — the seed may still be binding).
-  void bootstrap_from_map(const ShardMap& map);
+  /// Exactly one bootstrap call before start().  bootstrap_single
+  /// starts a brand-new cluster with self as the only member; join()
+  /// dials an existing member and adopts its snapshot (retrying
+  /// `attempts` times — the seed may still be binding).
   void bootstrap_single();
   bool join(const std::string& seed_addr, int attempts = 8);
 
-  /// Called (outside the agent lock) after every map-changing event.
-  /// Register before start().
-  void on_map_change(MapCallback cb);
+  /// Called (outside the agent lock) after every membership event,
+  /// with the map current after it; events with map_epoch != 0 changed
+  /// the map.  Register before start().
+  void on_event(EventCallback cb);
 
   void start();
   void stop();
@@ -282,12 +281,12 @@ class MembershipAgent {
   /// Apply a peer's reply (its self record + piggybacked updates).
   void merge_reply(const GossipMessage& reply);
   /// Publish counters/gauges/spans for pending table events and fire
-  /// the map callback.  Call with mu_ held; callbacks run unlocked.
+  /// the event callback.  Call with mu_ held; callbacks run unlocked.
   void flush_events_locked(std::unique_lock<std::mutex>& lock);
 
   mutable std::mutex mu_;
   MembershipTable table_;
-  MapCallback map_cb_;
+  EventCallback event_cb_;
   std::thread prober_;
   std::atomic<bool> stop_{false};
   std::atomic<bool> left_{false};

@@ -85,9 +85,13 @@ bool ShardRouter::allow(int shard_id, Clock::time_point now) {
 }
 
 void ShardRouter::record_failure(int shard_id, Clock::time_point now) {
+  fail(shard_id, now, 0);
+}
+
+void ShardRouter::fail(int shard_id, Clock::time_point now, int min_streak) {
   const std::lock_guard<std::mutex> lock(mu_);
   Breaker& b = breakers_[shard_id];
-  ++b.failures;
+  b.failures = std::max(b.failures + 1, min_streak);
   if (b.failures >= opts_.open_threshold) {
     // Cooldown grows with the streak past the threshold: a shard that
     // keeps failing its half-open probes is probed less and less often
@@ -105,6 +109,24 @@ void ShardRouter::record_success(int shard_id) {
   const auto it = breakers_.find(shard_id);
   if (it != breakers_.end()) breakers_.erase(it);
   publish_locked(shard_id, nullptr, Clock::time_point{});
+}
+
+void ShardRouter::observe(const MembershipEvent& ev, Clock::time_point now) {
+  const int id = ev.member.shard_id;
+  if (id < 0) return;
+  switch (ev.kind) {
+    case MembershipEvent::Kind::kSuspect:
+    case MembershipEvent::Kind::kDead:
+      fail(id, now, opts_.open_threshold);
+      break;
+    case MembershipEvent::Kind::kJoin:
+    case MembershipEvent::Kind::kAlive:
+    case MembershipEvent::Kind::kRefute:
+      record_success(id);
+      break;
+    case MembershipEvent::Kind::kLeft:
+      break;  // the map change that follows drops the shard
+  }
 }
 
 int ShardRouter::consecutive_failures(int shard_id) {

@@ -19,6 +19,11 @@
 // swap mid-request re-routes the remaining attempts against the new
 // owner set.
 //
+// Breakers are fed from two sides: the data path (record_failure /
+// record_success per forward attempt) and SWIM membership (observe):
+// a suspect or dead verdict opens the shard's breaker at once, an
+// alive or refute verdict closes it.
+//
 // Breaker state is exported as gauges through the Prometheus path:
 //   cluster.shard.<id>.breaker_state   0 closed / 1 open / 2 half-open
 //   cluster.shard.<id>.breaker_streak  consecutive failures
@@ -34,6 +39,7 @@
 #include <string_view>
 #include <vector>
 
+#include "cluster/membership.hpp"
 #include "cluster/shard_map.hpp"
 
 namespace starring::cluster {
@@ -81,6 +87,12 @@ class ShardRouter {
   void record_failure(int shard_id, Clock::time_point now);
   void record_success(int shard_id);
 
+  /// Feed one membership event to the breakers.  Suspect or dead opens
+  /// the shard's breaker at once — its probes already failed, so no
+  /// request should pay to rediscover that; join, alive, or refute
+  /// closes it.  Observer events (shard -1) are ignored.
+  void observe(const MembershipEvent& ev, Clock::time_point now);
+
   int consecutive_failures(int shard_id);
   /// Gauge view of one shard's breaker (also what the gauges export).
   BreakerState breaker_state(int shard_id, Clock::time_point now);
@@ -94,6 +106,9 @@ class ShardRouter {
   };
 
   bool allow_locked(const Breaker& b, Clock::time_point now) const;
+  /// Count one failure, at least `min_streak` deep, and open the
+  /// breaker once the streak reaches the threshold.
+  void fail(int shard_id, Clock::time_point now, int min_streak);
   /// Refresh the shard's breaker gauges.  nullptr = closed/no entry.
   void publish_locked(int shard_id, const Breaker* b,
                       Clock::time_point now) const;

@@ -27,13 +27,11 @@
 // exactly the keys it owned (its points vanish; everyone else's stay
 // put) — the minimal-disruption property the tests pin down.
 //
-// A map file is one of two ways a map comes to exist.  Originally the
-// file was the *only* way ("deliberately static", restart to change
-// anything); since the membership layer (cluster/membership.hpp) maps
-// are also built programmatically — make() at bootstrap, then
+// The daemons build their maps programmatically in the membership
+// layer (cluster/membership.hpp): make() at bootstrap, then
 // with()/without() per confirmed join/leave/death, each bumping the
-// epoch.  The file remains the static-bootstrap and tooling format
-// (DESIGN.md §13).
+// epoch.  The text form below is the tooling and test format; no daemon
+// reads a map file (DESIGN.md §13).
 #pragma once
 
 #include <cstdint>

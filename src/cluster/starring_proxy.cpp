@@ -20,52 +20,44 @@
 // warm cache instead of recomputing.
 //
 // Membership is live (cluster/membership.hpp): the proxy participates
-// in the SWIM gossip as an observer (shard -1), bootstrapped either
-// from a static map file (--shard-map) or by joining a running member
-// (--join HOST:PORT).  Each confirmed join/leave/death swaps the
-// router's map snapshot atomically (RCU-style shared_ptr, epoch
-// bumped); in-flight retries re-fetch candidates per attempt so they
-// re-route against the new owner set; and on ownership growth the
+// in the SWIM gossip as an observer (shard -1), bootstrapped by joining
+// a running member (--join HOST:PORT).  Each confirmed join/leave/death
+// swaps the router's map snapshot atomically (RCU-style shared_ptr,
+// epoch bumped); in-flight retries re-fetch candidates per attempt so
+// they re-route against the new owner set; and on ownership growth the
 // seeder drives seed handoff — hot classes' canonical rings are pushed
-// to their new replicas before those take cold misses.
+// to their new replicas before those take cold misses.  Every SWIM
+// verdict also feeds the breakers (ShardRouter::observe): a suspect or
+// dead shard sinks to the back of the candidate list at once, and its
+// refutation restores it, so no request pays to rediscover a failure
+// the gossip layer already saw.
 //
-// A health poller sends the bare `HEALTH` line to every shard each
-// --health-interval-ms: a dead shard trips its breaker between data-
-// path requests, a recovered one closes it, and an identity mismatch
-// (a process serving under the wrong shard id) is logged and counted.
-// Per-shard polls are jittered (±25% plus a per-shard initial stagger)
-// so N shards never land on one tick and a slow shard cannot delay
-// detection of the others in its round.
-//
-// The proxy answers STATS (its own cluster.* registry, including
-// per-shard latency histograms cluster.shard.<id>.latency.*), PING,
-// FAIL (local failpoints: proxy.forward fails a request before any
-// forward, proxy.upstream fails individual forward attempts — the
-// chaos tests storm these), and HEALTH (shard -1, the map's epoch).
-// Client-side transport, accept hardening, and drain semantics match
-// starringd (util/net.hpp).
-#include <sys/socket.h>
+// The client side — accept loop, connection cap, per-connection read
+// loop, the control commands (STATS with the proxy's own cluster.*
+// registry, PING, FAIL, HEALTH as shard -1, TRACE, SLOW, GOSSIP,
+// MEMBERS, LEAVE), and the bounded drain — is the one starringd runs
+// too (cluster/serve.hpp).  The proxy supplies its HEALTH numbers, the
+// SLOW report, a SEED refusal, and the embed session: each request is
+// forwarded and answered before the next one on its connection is
+// read, so a pipelining client gets its responses in request order.
+// FAIL arms local failpoints: proxy.forward fails a request before any
+// forward, proxy.upstream fails individual forward attempts — the chaos
+// tests storm these.
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <fstream>
 #include <iostream>
-#include <istream>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <ostream>
-#include <poll.h>
-#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -74,10 +66,10 @@
 
 #include "cluster/membership.hpp"
 #include "cluster/router.hpp"
+#include "cluster/serve.hpp"
 #include "cluster/shard_map.hpp"
 #include "obs/bench_io.hpp"
 #include "obs/metrics.hpp"
-#include "obs/prometheus.hpp"
 #include "obs/trace.hpp"
 #include "service/canonical.hpp"
 #include "util/failpoint.hpp"
@@ -86,13 +78,6 @@
 
 namespace starring::cluster {
 namespace {
-
-volatile std::sig_atomic_t g_stop = 0;
-void on_signal(int) { g_stop = 1; }
-
-// Process start, for the proxy's own HEALTH uptime_ms.
-const std::chrono::steady_clock::time_point g_start =
-    std::chrono::steady_clock::now();
 
 const char* status_name(ServiceStatus s) {
   switch (s) {
@@ -106,24 +91,12 @@ const char* status_name(ServiceStatus s) {
 }
 
 struct ProxyConfig {
-  std::string shard_map_path;
-  /// Non-empty: bootstrap by joining this cluster member instead of
-  /// reading a map file (mutually exclusive with --shard-map).
-  std::string join_addr;
-  /// SWIM tuning, forwarded to MembershipOptions.
-  int gossip_interval_ms = 250;
-  int suspicion_timeout_ms = 1500;
-  int listen_port = -1;
-  int max_conns = 64;
-  int write_timeout_ms = 5000;
+  /// --listen, --join (required), SWIM tuning, connection limits.
+  serve::Daemon daemon;
   /// Budget for one upstream exchange (connect + request + response);
   /// a shard that cannot answer within it counts as failed and the
   /// request fails over.
   int upstream_timeout_ms = 10000;
-  int drain_timeout_ms = 10000;
-  /// Health-poll period; 0 disables the poller (data-path failures
-  /// still drive the breakers).
-  int health_interval_ms = 1000;
   /// Ok-served responses of one canonical class before its ring is
   /// pushed to the replicas; 0 disables replication seeding.
   int seed_threshold = 3;
@@ -139,27 +112,7 @@ struct ProxyConfig {
   std::string trace_out;
 };
 
-/// One cached upstream connection (blocking-looking iostreams over a
-/// non-blocking fd with bounded reads/writes).
-struct UpstreamConn {
-  int fd;
-  net::FdInBuf in_buf;
-  net::FdOutBuf out_buf;
-  std::istream in;
-  std::ostream out;
-
-  UpstreamConn(int fd_, int read_timeout_ms, int write_timeout_ms)
-      : fd(fd_),
-        in_buf(fd_, read_timeout_ms),
-        out_buf(fd_, write_timeout_ms, nullptr),
-        in(&in_buf),
-        out(&out_buf) {}
-  ~UpstreamConn() { ::close(fd); }
-  UpstreamConn(const UpstreamConn&) = delete;
-  UpstreamConn& operator=(const UpstreamConn&) = delete;
-};
-
-/// Per-client-thread pool of upstream connections, one per shard,
+/// Per-client-connection pool of upstream connections, one per shard,
 /// created lazily and dropped on any failure (the next attempt
 /// reconnects).  Not shared across client threads: each gets its own
 /// upstream sockets, so responses never interleave.  The resolving map
@@ -175,8 +128,8 @@ class UpstreamPool {
   /// `created`, when non-null, reports whether this call had to dial a
   /// fresh connection (the tracer gives only those an upstream_connect
   /// span).
-  UpstreamConn* get(const ShardMap& map, int shard_id,
-                    bool* created = nullptr) {
+  net::Stream* get(const ShardMap& map, int shard_id,
+                   bool* created = nullptr) {
     if (created != nullptr) *created = false;
     const ShardInfo* info = map.find(shard_id);
     if (info == nullptr) return nullptr;
@@ -186,11 +139,11 @@ class UpstreamPool {
       if (it->second.endpoint == ep) return it->second.conn.get();
       conns_.erase(it);  // shard id reborn elsewhere
     }
-    const int fd = net::connect_endpoint(info->endpoint, /*nonblocking=*/true);
-    if (fd < 0) return nullptr;
-    auto conn = std::make_unique<UpstreamConn>(fd, read_timeout_ms_,
-                                               write_timeout_ms_);
-    UpstreamConn* raw = conn.get();
+    auto conn = std::make_unique<net::Stream>(info->endpoint,
+                                              read_timeout_ms_,
+                                              write_timeout_ms_);
+    if (!conn->ok()) return nullptr;
+    net::Stream* raw = conn.get();
     conns_[shard_id] = Slot{ep, std::move(conn)};
     if (created != nullptr) *created = true;
     return raw;
@@ -201,7 +154,7 @@ class UpstreamPool {
  private:
   struct Slot {
     std::string endpoint;
-    std::unique_ptr<UpstreamConn> conn;
+    std::unique_ptr<net::Stream> conn;
   };
 
   int read_timeout_ms_;
@@ -311,14 +264,6 @@ class Seeder {
     }
   }
 
-  /// Drop the seeded-marker for every class (a killed shard's replicas
-  /// may themselves have died; tests re-arm via this).  Cheap, so the
-  /// health poller calls it whenever a shard transitions to dead.
-  void forget_seeded() {
-    const std::lock_guard<std::mutex> lock(mu_);
-    classes_.clear();
-  }
-
  private:
   /// One canonical class's seeding state.  The ring is retained after
   /// the threshold so handoff never needs the data path.
@@ -359,22 +304,21 @@ class Seeder {
     const std::shared_ptr<const ShardMap> map = router_.map();
     const ShardInfo* info = map->find(shard_id);
     if (info == nullptr) return;
-    const int fd = net::connect_endpoint(info->endpoint, /*nonblocking=*/true);
-    if (fd < 0) {
+    net::Stream conn(info->endpoint, timeout_ms_, timeout_ms_);
+    if (!conn.ok()) {
       obs::counter("cluster.seed_failures").add();
       return;
     }
-    UpstreamConn conn(fd, timeout_ms_, timeout_ms_);
     ServiceRequest seed;
     seed.kind = RequestKind::kSeed;
     seed.n = job.n;
     seed.seed_key = job.key;
     seed.seed_ring = job.ring;
-    write_request(conn.out, seed);
-    conn.out.flush();
+    write_request(conn.out(), seed);
+    conn.out().flush();
     std::string line;
     std::string word;
-    if (conn.out.good() && (conn.in >> word >> line) && word == "SEED" &&
+    if (conn.out().good() && (conn.in() >> word >> line) && word == "SEED" &&
         line == "ok") {
       obs::counter("cluster.seeds_sent").add();
     } else {
@@ -623,7 +567,7 @@ ServiceResponse forward_embed(const ServiceRequest& req, ProxyCtx& ctx,
     }
     bool fresh = false;
     const auto conn_t0 = std::chrono::steady_clock::now();
-    UpstreamConn* conn = pool.get(*map, sid, &fresh);
+    net::Stream* conn = pool.get(*map, sid, &fresh);
     if (fresh && fspan.context().valid())
       obs::trace::emit("proxy.upstream_connect",
                        fspan.context().trace_id, obs::trace::new_span_id(),
@@ -649,9 +593,9 @@ ServiceResponse forward_embed(const ServiceRequest& req, ProxyCtx& ctx,
       fwd_storage.parent_span_id = fspan.context().span_id;
       fwd = &fwd_storage;
     }
-    write_request(conn->out, *fwd);
-    conn->out.flush();
-    if (!conn->out.good()) {
+    write_request(conn->out(), *fwd);
+    conn->out().flush();
+    if (!conn->out().good()) {
       pool.drop(sid);
       ctx.router.record_failure(sid, ShardRouter::Clock::now());
       obs::counter("cluster.write_failures").add();
@@ -660,7 +604,7 @@ ServiceResponse forward_embed(const ServiceRequest& req, ProxyCtx& ctx,
       continue;
     }
     std::string err;
-    const auto resp = read_response(conn->in, &err);
+    const auto resp = read_response(conn->in(), &err);
     if (!resp || resp->id != req.id) {
       // EOF, a wedged shard (bounded read expired), a malformed frame,
       // or a response for someone else: the connection is unusable.
@@ -710,264 +654,20 @@ ServiceResponse forward_embed(const ServiceRequest& req, ProxyCtx& ctx,
   return fail_with(ServiceStatus::kRejected, "no live shard");
 }
 
-// --- client side ------------------------------------------------------
-
-/// Serve one client connection: requests are handled serially (the
-/// proxy holds no embedding state, so per-request concurrency belongs
-/// to the client opening more connections, which is what starring-load
-/// does — one per tenant).
-void serve_client(int fd, ProxyCtx& ctx, net::ConnRegistry& reg) {
-  std::atomic<bool> dead{false};
-  net::FdInBuf in_buf(fd);
-  net::FdOutBuf out_buf(fd, ctx.cfg.write_timeout_ms, &dead);
-  std::istream in(&in_buf);
-  std::ostream out(&out_buf);
-  UpstreamPool pool(ctx.cfg.upstream_timeout_ms, ctx.cfg.write_timeout_ms);
-
-  std::string err;
-  while (!dead.load(std::memory_order_relaxed)) {
-    auto req = read_request(in, &err);
-    if (!req) {
-      if (!err.empty() && !dead.load(std::memory_order_relaxed)) {
-        ServiceResponse bad;
-        bad.status = ServiceStatus::kError;
-        bad.reason = "parse: " + err;
-        write_response(out, bad);
-        out.flush();
-      }
-      break;
-    }
-    if (req->kind == RequestKind::kStats) {
-      write_stats(out, obs::render_prometheus());
-      out.flush();
-      continue;
-    }
-    if (req->kind == RequestKind::kPing) {
-      out << "PONG\n";
-      out.flush();
-      continue;
-    }
-    if (req->kind == RequestKind::kFail) {
-      std::string why;
-      const bool ok = failpoint::set(req->fail_config, &why);
-      if (ok)
-        out << "FAIL ok\n";
-      else
-        out << "FAIL bad "
-            << (why.empty() ? std::string("failpoints unavailable") : why)
-            << "\n";
-      out.flush();
-      continue;
-    }
-    if (req->kind == RequestKind::kHealth) {
-      HealthInfo h;
-      h.shard_id = -1;  // a router, not a shard
-      h.epoch = ctx.router.map()->epoch();
-      h.cache_entries = 0;
-      h.cache_hits = static_cast<std::uint64_t>(
-          obs::counter("cluster.cache_hits").value());
-      h.cache_misses = static_cast<std::uint64_t>(
-          obs::counter("cluster.cache_misses").value());
-      h.uptime_ms = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              std::chrono::steady_clock::now() - g_start)
-              .count());
-      const std::int64_t inflight =
-          ctx.inflight.load(std::memory_order_relaxed);
-      h.inflight = inflight > 0 ? static_cast<std::uint64_t>(inflight) : 0;
-      write_health(out, h);
-      out.flush();
-      continue;
-    }
-    if (req->kind == RequestKind::kSeed) {
-      out << "SEED bad proxy is not a shard\n";
-      out.flush();
-      continue;
-    }
-    if (req->kind == RequestKind::kGossip) {
-      const MembershipAgent::Reply reply = ctx.agent->handle(*req->gossip);
-      if (FAILPOINT("gossip.ack")) {
-        // Server-side partition half: updates were merged, but the
-        // peer hears nothing and starts suspecting us.
-        obs::counter("cluster.membership.acks_dropped").add();
-        break;  // drop the connection too — a silent peer, not a slow one
-      }
-      if (reply.snapshot)
-        write_membership(out, *reply.snapshot);
-      else if (reply.ack)
-        write_gossip(out, *reply.ack);
-      out.flush();
-      continue;
-    }
-    if (req->kind == RequestKind::kMembers) {
-      write_membership(out, ctx.agent->membership());
-      out.flush();
-      continue;
-    }
-    if (req->kind == RequestKind::kLeave) {
-      out << "LEAVE ok\n";
-      out.flush();
-      // Announce departure to the cluster, then stop accepting: the
-      // main loop's drain handles in-flight work.  Detached because
-      // leave() dials every peer and must not block this client read
-      // loop's connection teardown.
-      std::thread([&ctx] {
-        ctx.agent->leave();
-        g_stop = 1;
-      }).detach();
-      continue;
-    }
-    if (req->kind == RequestKind::kTrace) {
-      TraceDump d;
-      d.process = "proxy";
-      d.epoch_ns = obs::trace::epoch_ns();
-      d.dropped = obs::trace::stats().dropped;
-      d.spans = obs::trace::collect();
-      write_trace(out, d);
-      out.flush();
-      continue;
-    }
-    if (req->kind == RequestKind::kSlow) {
-      write_stats(out, ctx.slow ? ctx.slow->render()
-                                : "# slow-request recorder off\n");
-      out.flush();
-      continue;
-    }
-    ForwardReport frep;
-    const auto req_t0 = std::chrono::steady_clock::now();
-    const ServiceResponse resp =
-        forward_embed(*req, ctx, pool, ctx.slow ? &frep : nullptr);
-    if (ctx.slow) {
-      const double ms = std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() - req_t0)
-                            .count();
-      if (ms >= static_cast<double>(ctx.cfg.slow_ms))
-        ctx.slow->note(*req, resp, frep, ms);
-    }
-    if (!dead.load(std::memory_order_relaxed)) {
-      write_response(out, resp);
-      out.flush();
-    }
-  }
-  reg.remove(fd);
-  ::close(fd);
-}
-
-/// Over the connection cap: one `status rejected` response, then close.
-void refuse_connection(int fd) {
-  obs::counter("svc.rejected_conns").add();
-  net::FdOutBuf out_buf(fd, /*write_timeout_ms=*/1000, nullptr);
-  std::ostream out(&out_buf);
-  ServiceResponse rej;
-  rej.status = ServiceStatus::kRejected;
-  rej.reason = "connection limit";
-  write_response(out, rej);
-  out.flush();
-  ::close(fd);
-}
-
-/// Poll every shard's HEALTH: trip the breaker of a shard that cannot
-/// answer, close the breaker of one that recovered, and flag identity
-/// mismatches (a process serving under the wrong shard id).
-///
-/// Polls are per-shard deadlines, not one synchronized sweep.  The old
-/// loop probed every shard back-to-back each period: N shards meant a
-/// thundering herd of simultaneous HEALTH probes (every proxy landing
-/// on every shard on the same tick), and one wedged shard's probe
-/// budget delayed detection of all the others in its round.  Each
-/// shard now gets an initial stagger uniform over one period, then
-/// successive polls at interval * (0.75 + 0.5 * uniform) — the herd
-/// decoheres and stays decohered.
-void health_loop(ProxyCtx& ctx, std::atomic<bool>& stop) {
-  using Clock = std::chrono::steady_clock;
-  const auto interval =
-      std::chrono::milliseconds(ctx.cfg.health_interval_ms);
-  std::mt19937 rng(std::random_device{}());
-  std::uniform_real_distribution<double> uni(0.0, 1.0);
-  std::map<int, bool> was_alive;
-  std::map<int, Clock::time_point> next_poll;
-  while (!stop.load(std::memory_order_relaxed)) {
-    // Live map: shards join and leave under the poller's feet.
-    const std::shared_ptr<const ShardMap> map = ctx.router.map();
-    const auto now = Clock::now();
-    for (const ShardInfo& s : map->shards()) {
-      if (stop.load(std::memory_order_relaxed)) break;
-      const auto slot = next_poll.find(s.id);
-      if (slot == next_poll.end()) {
-        // First sight: stagger the initial poll across one period.
-        next_poll[s.id] =
-            now + std::chrono::duration_cast<Clock::duration>(
-                      interval * uni(rng));
-        continue;
-      }
-      if (now < slot->second) continue;
-      slot->second = now + std::chrono::duration_cast<Clock::duration>(
-                               interval * (0.75 + 0.5 * uni(rng)));
-      bool alive = false;
-      const int fd = net::connect_endpoint(s.endpoint, /*nonblocking=*/true);
-      if (fd >= 0) {
-        // Health probes get a short budget of their own: a wedged
-        // shard should trip its breaker well within the poll period.
-        const int budget =
-            std::max(100, ctx.cfg.health_interval_ms / 2);
-        UpstreamConn conn(fd, budget, budget);
-        ServiceRequest probe;
-        probe.kind = RequestKind::kHealth;
-        write_request(conn.out, probe);
-        conn.out.flush();
-        if (const auto h = read_health(conn.in)) {
-          // Identity check is id-only: under live membership, epochs
-          // are eventually consistent across members, so a transient
-          // epoch skew is convergence, not misconfiguration.
-          if (h->shard_id != s.id) {
-            obs::counter("cluster.health_mismatch").add();
-            std::cerr << "starring-proxy: shard " << s.id << " at "
-                      << net::to_string(s.endpoint)
-                      << " reports identity " << h->shard_id << "\n";
-          } else {
-            alive = true;
-            // Fold the shard's self-reported liveness stats into the
-            // proxy's own registry so one STATS scrape of the proxy
-            // shows the whole cluster.  record_max keeps the gauges
-            // monotone across polls (uptime only moves forward; the
-            // inflight gauge is a high-water mark).
-            const std::string pfx = "cluster.shard." + std::to_string(s.id);
-            obs::counter(pfx + ".uptime_ms")
-                .record_max(static_cast<double>(h->uptime_ms));
-            obs::counter(pfx + ".inflight_max")
-                .record_max(static_cast<double>(h->inflight));
-          }
-        }
-      }
-      const auto prev = was_alive.find(s.id);
-      if (alive) {
-        ctx.router.record_success(s.id);
-        if (prev == was_alive.end() || !prev->second)
-          std::cerr << "starring-proxy: shard " << s.id << " healthy\n";
-      } else {
-        obs::counter("cluster.health_failures").add();
-        ctx.router.record_failure(s.id, ShardRouter::Clock::now());
-        if (ctx.seeder && (prev == was_alive.end() || prev->second)) {
-          // A shard just died: previously pushed seeds may have lived
-          // there, so let hot classes qualify for seeding again.
-          ctx.seeder->forget_seeded();
-        }
-      }
-      was_alive[s.id] = alive;
-    }
-    // Forget departed shards so a rejoining id starts fresh.
-    for (auto it = next_poll.begin(); it != next_poll.end();) {
-      if (map->find(it->first) == nullptr) {
-        was_alive.erase(it->first);
-        it = next_poll.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    // Short tick: deadlines do the pacing, the tick just bounds how
-    // stale a deadline check can be (and keeps shutdown prompt).
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
+/// Forward one client request and note it in the slow-request recorder
+/// when it crossed the threshold.
+ServiceResponse serve_embed(const ServiceRequest& req, ProxyCtx& ctx,
+                            UpstreamPool& pool) {
+  if (!ctx.slow) return forward_embed(req, ctx, pool);
+  ForwardReport frep;
+  const auto t0 = std::chrono::steady_clock::now();
+  ServiceResponse resp = forward_embed(req, ctx, pool, &frep);
+  const double ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+  if (ms >= static_cast<double>(ctx.cfg.slow_ms))
+    ctx.slow->note(req, resp, frep, ms);
+  return resp;
 }
 
 // --- main -------------------------------------------------------------
@@ -975,35 +675,15 @@ void health_loop(ProxyCtx& ctx, std::atomic<bool>& stop) {
 int usage(const char* argv0) {
   std::cerr
       << "usage: " << argv0
-      << " (--shard-map FILE | --join HOST:PORT) --listen PORT [options]\n"
-      << "  --shard-map FILE       static bootstrap membership "
-         "(starring-shard-map v1)\n"
-      << "  --join HOST:PORT       join a running cluster member instead "
-         "of a map\n"
-      << "                         file (gossip adopts its snapshot)\n"
-      << "  --gossip-interval-ms N SWIM probe period (default 250)\n"
-      << "  --suspicion-timeout-ms N  silence before a suspect is "
-         "declared dead\n"
-      << "                         (default 1500)\n"
-      << "  --listen PORT          serve TCP on 127.0.0.1:PORT (0 = "
-         "kernel-assigned,\n"
-      << "                         printed on stderr)\n"
-      << "  --max-conns N          concurrent client connections "
-         "(default 64)\n"
-      << "  --write-timeout-ms N   evict a client that cannot drain its "
-         "socket\n"
-      << "                         (default 5000)\n"
+      << " --join HOST:PORT --listen PORT [options]\n"
+      << serve::kFlagUsage
       << "  --upstream-timeout-ms N  budget for one shard exchange; "
          "overrun\n"
       << "                         counts as failure and fails over "
          "(default 10000)\n"
-      << "  --health-interval-ms N HEALTH poll period, 0 = off "
-         "(default 1000)\n"
       << "  --seed-threshold N     ok responses of a class before its "
          "ring is\n"
       << "                         replicated, 0 = off (default 3)\n"
-      << "  --drain-timeout-ms N   abort if shutdown drain exceeds N ms\n"
-      << "                         (default 10000)\n"
       << "  --bench-artifact S     write BENCH_<S>.json on clean drain\n"
       << "  --slow-ms N            record requests slower than N ms in "
          "the\n"
@@ -1019,7 +699,6 @@ int usage(const char* argv0) {
 
 std::optional<ProxyConfig> parse_args(int argc, char** argv) {
   ProxyConfig cfg;
-  bool saw_listen = false;
   const auto num = [&](int* i) -> long {
     if (*i + 1 >= argc) return -1;
     return std::atol(argv[++*i]);
@@ -1027,29 +706,12 @@ std::optional<ProxyConfig> parse_args(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     long v = 0;
-    if (a == "--shard-map" && i + 1 < argc) {
-      cfg.shard_map_path = argv[++i];
-    } else if (a == "--join" && i + 1 < argc) {
-      cfg.join_addr = argv[++i];
-    } else if (a == "--gossip-interval-ms" && (v = num(&i)) > 0) {
-      cfg.gossip_interval_ms = static_cast<int>(v);
-    } else if (a == "--suspicion-timeout-ms" && (v = num(&i)) > 0) {
-      cfg.suspicion_timeout_ms = static_cast<int>(v);
-    } else if (a == "--listen" && (v = num(&i)) >= 0 && v < 65536) {
-      cfg.listen_port = static_cast<int>(v);
-      saw_listen = true;
-    } else if (a == "--max-conns" && (v = num(&i)) > 0) {
-      cfg.max_conns = static_cast<int>(v);
-    } else if (a == "--write-timeout-ms" && (v = num(&i)) > 0) {
-      cfg.write_timeout_ms = static_cast<int>(v);
+    if (serve::parse_flag(cfg.daemon, argc, argv, &i)) {
+      // consumed: a flag starringd takes too
     } else if (a == "--upstream-timeout-ms" && (v = num(&i)) > 0) {
       cfg.upstream_timeout_ms = static_cast<int>(v);
-    } else if (a == "--health-interval-ms" && (v = num(&i)) >= 0) {
-      cfg.health_interval_ms = static_cast<int>(v);
     } else if (a == "--seed-threshold" && (v = num(&i)) >= 0) {
       cfg.seed_threshold = static_cast<int>(v);
-    } else if (a == "--drain-timeout-ms" && (v = num(&i)) > 0) {
-      cfg.drain_timeout_ms = static_cast<int>(v);
     } else if (a == "--bench-artifact" && i + 1 < argc) {
       cfg.bench_artifact = argv[++i];
     } else if (a == "--slow-ms" && (v = num(&i)) >= 0) {
@@ -1062,8 +724,7 @@ std::optional<ProxyConfig> parse_args(int argc, char** argv) {
       return std::nullopt;
     }
   }
-  // Exactly one bootstrap source: a static map file or a seed member.
-  if (cfg.shard_map_path.empty() == cfg.join_addr.empty() || !saw_listen)
+  if (cfg.daemon.join_addr.empty() || cfg.daemon.listen_port < 0)
     return std::nullopt;
   return cfg;
 }
@@ -1072,9 +733,7 @@ int proxy_main(int argc, char** argv) {
   auto cfg = parse_args(argc, argv);
   if (!cfg) return usage(argv[0]);
 
-  std::signal(SIGINT, on_signal);
-  std::signal(SIGTERM, on_signal);
-  std::signal(SIGPIPE, SIG_IGN);
+  serve::install_signal_handlers();
   obs::set_enabled(true);
   if (!cfg->trace_out.empty()) obs::trace::set_enabled(true);
 
@@ -1082,38 +741,17 @@ int proxy_main(int argc, char** argv) {
   if (!cfg->bench_artifact.empty())
     rec = std::make_unique<obs::BenchRecorder>(cfg->bench_artifact);
 
-  // Listen before bootstrapping membership: the gossip identity is the
-  // actual listen endpoint (PORT may be kernel-assigned).
-  std::string err;
-  int actual_port = 0;
-  const int listen_fd =
-      net::listen_loopback(cfg->listen_port, 16, &actual_port, &err);
-  if (listen_fd < 0) {
-    std::cerr << "starring-proxy: " << err << "\n";
-    return 1;
-  }
-  std::cerr << "starring-proxy: listening on 127.0.0.1:" << actual_port
-            << "\n";
+  serve::Daemon& d = cfg->daemon;
+  d.name = "starring-proxy";
+  d.process = "proxy";
 
-  MemberRecord self;
-  self.addr = "127.0.0.1:" + std::to_string(actual_port);
-  self.shard_id = -1;  // observer: routes, never owns ring points
-  self.incarnation = 1;
-  MembershipOptions mopts;
-  mopts.probe_interval_ms = cfg->gossip_interval_ms;
-  mopts.suspicion_timeout_ms = cfg->suspicion_timeout_ms;
-  auto agent = std::make_unique<MembershipAgent>(self, mopts);
-  if (!cfg->shard_map_path.empty()) {
-    auto map = ShardMap::load(cfg->shard_map_path, &err);
-    if (!map) {
-      std::cerr << "starring-proxy: bad shard map: " << err << "\n";
-      ::close(listen_fd);
-      return 1;
-    }
-    agent->bootstrap_from_map(*map);
-  } else if (!agent->join(cfg->join_addr)) {
-    std::cerr << "starring-proxy: failed to join cluster via "
-              << cfg->join_addr << "\n";
+  // Listen before joining: the gossip identity is the actual listen
+  // endpoint (PORT may be kernel-assigned).
+  int port = 0;
+  const int listen_fd = serve::listen(d, &port);
+  if (listen_fd < 0) return 1;
+  auto agent = serve::form_cluster(d, port);
+  if (!agent) {
     ::close(listen_fd);
     return 1;
   }
@@ -1125,8 +763,13 @@ int proxy_main(int argc, char** argv) {
   }
 
   ProxyCtx ctx(*cfg, std::move(agent));
-  ctx.agent->on_map_change([&ctx](std::shared_ptr<const ShardMap> m,
-                                  const MembershipEvent& ev) {
+  d.agent = ctx.agent.get();
+  ctx.agent->on_event([&ctx](std::shared_ptr<const ShardMap> m,
+                             const MembershipEvent& ev) {
+    // Breakers first: a dead shard's breaker opens, then the swap below
+    // drops it along with the shard.
+    ctx.router.observe(ev, ShardRouter::Clock::now());
+    if (ev.map_epoch == 0) return;
     // RCU swap: in-flight requests keep their snapshot, the next
     // candidates() fetch routes against the new owner set.
     ctx.router.swap_map(m);
@@ -1143,52 +786,33 @@ int proxy_main(int argc, char** argv) {
   });
   ctx.agent->start();
 
-  std::atomic<bool> health_stop{false};
-  std::thread health;
-  if (cfg->health_interval_ms > 0)
-    health = std::thread([&] { health_loop(ctx, health_stop); });
+  d.health = [&ctx](HealthInfo& h) {
+    h.cache_hits = static_cast<std::uint64_t>(
+        obs::counter("cluster.cache_hits").value());
+    h.cache_misses = static_cast<std::uint64_t>(
+        obs::counter("cluster.cache_misses").value());
+    const std::int64_t inflight = ctx.inflight.load(std::memory_order_relaxed);
+    h.inflight = inflight > 0 ? static_cast<std::uint64_t>(inflight) : 0;
+  };
+  d.seed = [](ServiceRequest&) { return std::string("proxy is not a shard"); };
+  d.slow = [&ctx] {
+    return ctx.slow ? ctx.slow->render()
+                    : std::string("# slow-request recorder off\n");
+  };
+  d.session = [&ctx] {
+    // The proxy holds no embedding state, so per-request concurrency
+    // belongs to the client opening more connections (starring-load
+    // opens one per tenant); each connection gets its own upstream
+    // sockets, so responses never interleave.
+    auto pool = std::make_shared<UpstreamPool>(
+        ctx.cfg.upstream_timeout_ms, ctx.cfg.daemon.write_timeout_ms);
+    return serve::Session([&ctx, pool](ServiceRequest&& req,
+                                       serve::Connection& conn) {
+      conn.send(serve_embed(req, ctx, *pool));
+    });
+  };
 
-  net::ConnRegistry reg;
-  obs::Counter& accept_errors = obs::counter("svc.accept_errors");
-  while (g_stop == 0) {
-    pollfd pfd{listen_fd, POLLIN, 0};
-    const int r = ::poll(&pfd, 1, 200 /*ms*/);
-    if (r <= 0) continue;  // timeout or EINTR: re-check g_stop
-    const int fd =
-        net::accept_transient(listen_fd, "starring-proxy", accept_errors);
-    if (fd < 0) continue;
-    if (reg.count() >= static_cast<std::size_t>(cfg->max_conns)) {
-      refuse_connection(fd);
-      continue;
-    }
-    if (!net::set_nonblocking(fd)) {
-      ::close(fd);
-      continue;
-    }
-    reg.add(fd);
-    std::thread([fd, &ctx, &reg] { serve_client(fd, ctx, reg); }).detach();
-  }
-  ::close(listen_fd);
-
-  net::DrainGuard drain_guard(cfg->drain_timeout_ms);
-  reg.shutdown_all(SHUT_RD);
-  if (!reg.wait_empty(cfg->drain_timeout_ms / 2)) {
-    reg.shutdown_all(SHUT_RDWR);
-    if (!reg.wait_empty(cfg->drain_timeout_ms / 4)) {
-      std::cerr << "starring-proxy: connections failed to drain, aborting\n";
-      std::_Exit(1);
-    }
-  }
-  if (health.joinable()) {
-    health_stop.store(true, std::memory_order_relaxed);
-    health.join();
-  }
-  // Depart politely even on SIGTERM: peers see `left` instead of
-  // burning a suspicion window on us.  Idempotent if a LEAVE command
-  // already ran.  Stop before the seeder drains so no more handoff
-  // callbacks land in a dying seeder.
-  ctx.agent->leave();
-  ctx.agent->stop();
+  serve::serve_tcp(d, listen_fd);
   ctx.seeder.reset();  // flush pending seed pushes
 
   if (!cfg->trace_out.empty()) {
@@ -1196,31 +820,23 @@ int proxy_main(int argc, char** argv) {
     // from every shard still alive, merged onto one timeline.  Shards
     // must outlive the proxy for this to see their spans — the drill
     // stops the proxy first.
-    std::vector<TraceDump> dumps;
-    TraceDump own;
-    own.process = "proxy";
-    own.epoch_ns = obs::trace::epoch_ns();
-    own.dropped = obs::trace::stats().dropped;
-    own.spans = obs::trace::collect();
-    dumps.push_back(std::move(own));
+    std::vector<TraceDump> dumps = {serve::trace_dump(d)};
     const std::shared_ptr<const ShardMap> final_map = ctx.router.map();
     for (const ShardInfo& s : final_map->shards()) {
-      const int fd =
-          net::connect_endpoint(s.endpoint, /*nonblocking=*/true);
-      if (fd < 0) {
+      net::Stream conn(s.endpoint, cfg->upstream_timeout_ms,
+                       d.write_timeout_ms);
+      if (!conn.ok()) {
         std::cerr << "starring-proxy: trace pull: shard " << s.id
                   << " unreachable, spans lost\n";
         continue;
       }
-      UpstreamConn conn(fd, cfg->upstream_timeout_ms,
-                        cfg->write_timeout_ms);
       ServiceRequest pull;
       pull.kind = RequestKind::kTrace;
-      write_request(conn.out, pull);
-      conn.out.flush();
+      write_request(conn.out(), pull);
+      conn.out().flush();
       std::string trace_err;
-      if (auto d = read_trace(conn.in, &trace_err)) {
-        dumps.push_back(std::move(*d));
+      if (auto dump = read_trace(conn.in(), &trace_err)) {
+        dumps.push_back(std::move(*dump));
       } else {
         std::cerr << "starring-proxy: trace pull: shard " << s.id << ": "
                   << (trace_err.empty() ? "closed early" : trace_err)
@@ -1230,7 +846,7 @@ int proxy_main(int argc, char** argv) {
     std::ofstream tf(cfg->trace_out);
     if (tf && write_merged_chrome_trace(tf, dumps)) {
       std::size_t total = 0;
-      for (const TraceDump& d : dumps) total += d.spans.size();
+      for (const TraceDump& dump : dumps) total += dump.spans.size();
       std::cerr << "starring-proxy: wrote " << total << " spans from "
                 << dumps.size() << " processes to " << cfg->trace_out
                 << "\n";

@@ -28,61 +28,45 @@
 // accepts are answered `status rejected` and closed.
 //
 // Cluster membership (TCP + --shard-id only): the daemon runs a SWIM
-// gossip agent (cluster/membership.hpp) when started with --shard-map
-// (static bootstrap: every listed member is known at launch),
-// --bootstrap (first member of a brand-new cluster), or --join
-// HOST:PORT (dial a running member and adopt its snapshot — live
-// scale-out, no restart of the world).  It answers starring-gossip v1
-// probes inline, serves MEMBERS, and honors a graceful LEAVE: announce
-// departure to every peer, stop accepting, drain in-flight work, exit
-// 0 — peers see `left`, not a suspicion window, so no failover fires.
+// gossip agent (cluster/membership.hpp) when started with --bootstrap
+// (first member of a brand-new cluster) or --join HOST:PORT (dial a
+// running member and adopt its snapshot — live scale-out, no restart
+// of the world).  It answers starring-gossip v1 probes inline, serves
+// MEMBERS, and honors a graceful LEAVE: announce departure to every
+// peer, stop accepting, drain in-flight work, exit 0 — peers see
+// `left`, not a suspicion window, so no failover fires.
+//
+// The connection loop, the control commands, and the drain are the
+// ones starring-proxy runs too (cluster/serve.hpp); this file supplies
+// only what a shard answers differently and how it serves an embedding.
 //
 // With --bench-artifact NAME the daemon enables the metrics layer and
 // writes BENCH_<NAME>.json (svc.* counters, latency histogram, cache
 // hit rate) to $STARRING_BENCH_DIR on clean drain.
-#include <poll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
-#include <cerrno>
-#include <condition_variable>
+#include <atomic>
+#include <chrono>
 #include <csignal>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
-#include <istream>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include <atomic>
-
 #include "cluster/membership.hpp"
-#include "cluster/shard_map.hpp"
+#include "cluster/serve.hpp"
 #include "core/oracle_store.hpp"
 #include "obs/bench_io.hpp"
 #include "obs/metrics.hpp"
-#include "obs/prometheus.hpp"
 #include "obs/trace.hpp"
 #include "service/service.hpp"
-#include "util/failpoint.hpp"
 #include "util/io.hpp"
-#include "util/net.hpp"
 
 namespace starring {
 namespace {
-
-volatile std::sig_atomic_t g_stop = 0;
-void on_signal(int) { g_stop = 1; }
-
-// Process start, for HEALTH uptime_ms.  Static-initialized so the
-// number covers the whole process, not just time since first probe.
-const std::chrono::steady_clock::time_point g_start =
-    std::chrono::steady_clock::now();
 
 // SIGUSR1 asks for a flight-recorder dump without stopping the daemon;
 // a watcher thread does the actual file I/O (signal-safe handlers
@@ -90,41 +74,21 @@ const std::chrono::steady_clock::time_point g_start =
 volatile std::sig_atomic_t g_dump = 0;
 void on_dump_signal(int) { g_dump = 1; }
 
-// The fd <-> iostream glue, hardened accept, and drain scaffolding
-// used to live here file-locally; they moved to util/net.hpp when the
-// proxy and clients grew the same needs.
-
 struct DaemonConfig {
   ServiceOptions svc;
-  int listen_port = -1;  // -1: stdio mode; 0: kernel-assigned
-  /// Cluster identity (--shard-id/--shard-map); -1 when standalone.
-  /// Reported by the HEALTH probe so the proxy can detect a process
-  /// serving under the wrong identity or an out-of-date map.
-  int shard_id = -1;
-  std::uint64_t map_epoch = 0;
-  /// Non-empty: join a running cluster through this member (live
-  /// scale-out).  Mutually exclusive with --shard-map/--bootstrap.
-  std::string join_addr;
-  /// First member of a brand-new cluster (no map file, no seed).
+  /// Identity, --listen (absent: stdio mode; 0: kernel-assigned),
+  /// --join, SWIM tuning, and connection limits.
+  serve::Daemon daemon;
+  /// First member of a brand-new cluster (exclusive with --join).
   bool bootstrap = false;
-  /// SWIM tuning, forwarded to MembershipOptions.
-  int gossip_interval_ms = 250;
-  int suspicion_timeout_ms = 1500;
-  /// Static map retained from --shard-map validation; seeds the gossip
-  /// agent's initial member set.
-  std::shared_ptr<cluster::ShardMap> static_map;
-  int max_conns = 64;
-  int write_timeout_ms = 5000;
-  int drain_timeout_ms = 10000;
   std::string bench_artifact;
   std::string trace_out;  // non-empty: tracing on, dump here
   /// Tracing on without a local dump file: spans stay in the flight
   /// recorder for a remote TRACE pull (the proxy's merged export).
   bool trace = false;
   std::string oracle_snapshot;  // non-empty: warm-start from this file
-  std::string shard_map;  // non-empty: validate --shard-id against it
   /// Canonical rings from a loaded snapshot, handed to the EmbedService
-  /// (which is constructed inside serve_*) and consumed there.
+  /// (which is constructed inside serve_daemon()) and consumed there.
   std::vector<OracleSnapshot::CanonicalRing> seed_rings;
 };
 
@@ -150,34 +114,13 @@ int usage(const char* argv0) {
       << "  --drr-quantum N      requests per tenant per DRR visit at\n"
       << "                       batch formation (default 1)\n"
       << "  --threads N          embedding worker threads (0 = cores)\n"
-      << "  --listen PORT        serve TCP on 127.0.0.1:PORT (default: "
-         "stdio;\n"
-      << "                       0 = kernel-assigned, printed on "
-         "stderr)\n"
       << "  --shard-id N         cluster identity, reported by HEALTH\n"
-      << "  --shard-map FILE     validate --shard-id against this map, "
-         "seed\n"
-      << "                       gossip membership from it (static "
-         "bootstrap)\n"
       << "  --bootstrap          start a brand-new cluster with self as "
          "the\n"
-      << "                       only member (TCP + --shard-id)\n"
-      << "  --join HOST:PORT     join a running cluster through this "
-         "member\n"
-      << "                       (TCP + --shard-id; adopts its snapshot)\n"
-      << "  --gossip-interval-ms N  SWIM probe period (default 250)\n"
-      << "  --suspicion-timeout-ms N  silence before a suspect is "
-         "declared\n"
-      << "                       dead (default 1500)\n"
-      << "  --max-conns N        concurrent TCP connections; excess "
-         "accepts\n"
-      << "                       are answered `status rejected` "
-         "(default 64)\n"
-      << "  --write-timeout-ms N evict a TCP client that cannot drain "
-         "its\n"
-      << "                       socket within N ms (default 5000)\n"
-      << "  --drain-timeout-ms N abort if shutdown drain exceeds N ms\n"
-      << "                       (default 10000)\n"
+      << "                       only member; later members --join it\n"
+      << "                       (both need --listen and --shard-id)\n"
+      << serve::kFlagUsage
+      << "  (without --listen the daemon serves stdin/stdout)\n"
       << "  --oracle-snapshot F  warm-start: seed the path-oracle memo "
          "and\n"
       << "                       canonical cache from this snapshot "
@@ -224,26 +167,12 @@ std::optional<DaemonConfig> parse_args(int argc, char** argv) {
       cfg.svc.drr_quantum = static_cast<std::size_t>(v);
     } else if (a == "--threads" && (v = num(&i)) >= 0) {
       cfg.svc.embed.num_threads = static_cast<unsigned>(v);
-    } else if (a == "--listen" && (v = num(&i)) >= 0 && v < 65536) {
-      cfg.listen_port = static_cast<int>(v);
     } else if (a == "--shard-id" && (v = num(&i)) >= 0) {
-      cfg.shard_id = static_cast<int>(v);
-    } else if (a == "--shard-map" && i + 1 < argc) {
-      cfg.shard_map = argv[++i];
-    } else if (a == "--join" && i + 1 < argc) {
-      cfg.join_addr = argv[++i];
+      cfg.daemon.shard_id = static_cast<int>(v);
     } else if (a == "--bootstrap") {
       cfg.bootstrap = true;
-    } else if (a == "--gossip-interval-ms" && (v = num(&i)) > 0) {
-      cfg.gossip_interval_ms = static_cast<int>(v);
-    } else if (a == "--suspicion-timeout-ms" && (v = num(&i)) > 0) {
-      cfg.suspicion_timeout_ms = static_cast<int>(v);
-    } else if (a == "--max-conns" && (v = num(&i)) > 0) {
-      cfg.max_conns = static_cast<int>(v);
-    } else if (a == "--write-timeout-ms" && (v = num(&i)) > 0) {
-      cfg.write_timeout_ms = static_cast<int>(v);
-    } else if (a == "--drain-timeout-ms" && (v = num(&i)) > 0) {
-      cfg.drain_timeout_ms = static_cast<int>(v);
+    } else if (serve::parse_flag(cfg.daemon, argc, argv, &i)) {
+      // consumed: a flag starring-proxy takes too
     } else if (a == "--oracle-snapshot" && i + 1 < argc) {
       cfg.oracle_snapshot = argv[++i];
     } else if (a == "--bench-artifact" && i + 1 < argc) {
@@ -256,80 +185,54 @@ std::optional<DaemonConfig> parse_args(int argc, char** argv) {
       return std::nullopt;
     }
   }
-  // Dynamic membership needs a dialable identity: TCP and a shard id.
-  const int sources = (!cfg.shard_map.empty() ? 1 : 0) +
-                      (!cfg.join_addr.empty() ? 1 : 0) +
-                      (cfg.bootstrap ? 1 : 0);
-  if (sources > 1) return std::nullopt;
-  if ((!cfg.join_addr.empty() || cfg.bootstrap) &&
-      (cfg.listen_port < 0 || cfg.shard_id < 0))
+  // Membership needs a dialable identity: TCP and a shard id.
+  const serve::Daemon& d = cfg.daemon;
+  if (cfg.bootstrap && !d.join_addr.empty()) return std::nullopt;
+  if ((cfg.bootstrap || !d.join_addr.empty()) &&
+      (d.listen_port < 0 || d.shard_id < 0))
     return std::nullopt;
   return cfg;
 }
 
-// --- stdio transport --------------------------------------------------
+/// Serve stdio (default) or TCP until EOF or a stop request.  A member
+/// founds or joins its cluster before the service starts.
+int serve_daemon(DaemonConfig& cfg) {
+  serve::Daemon& d = cfg.daemon;
+  d.name = "starringd";
+  d.process =
+      d.shard_id >= 0 ? "shard-" + std::to_string(d.shard_id) : "starringd";
 
-/// Answer a PING, FAIL, HEALTH, gossip, membership, or seed command on
-/// `out`; true when `req` was one.  All are answered inline on the
-/// reader thread — liveness probes, fault arming, gossip exchanges,
-/// and cache seeding must not wait behind queued embeddings.  `agent`
-/// is null outside member mode (stdio, or TCP without membership).
-bool answer_command(ServiceRequest& req, std::ostream& out,
-                    std::mutex& out_mu, EmbedService& svc,
-                    const DaemonConfig& cfg,
-                    cluster::MembershipAgent* agent) {
-  if (req.kind == RequestKind::kPing) {
-    const std::lock_guard<std::mutex> lock(out_mu);
-    out << "PONG\n";
-    out.flush();
-    return true;
+  const bool tcp = d.listen_port >= 0;
+  int listen_fd = -1;
+  std::unique_ptr<cluster::MembershipAgent> agent;
+  if (tcp) {
+    // Listen first: a member's gossip identity is the actual listen
+    // endpoint (PORT may be kernel-assigned).
+    int port = 0;
+    listen_fd = serve::listen(d, &port);
+    if (listen_fd < 0) return 1;
+    if (cfg.bootstrap || !d.join_addr.empty()) {
+      agent = serve::form_cluster(d, port);
+      if (!agent) {
+        ::close(listen_fd);
+        return 1;
+      }
+      agent->start();
+      d.agent = agent.get();
+    }
   }
-  if (req.kind == RequestKind::kHealth) {
-    HealthInfo h;
-    h.shard_id = cfg.shard_id;
-    // Live membership owns the epoch once an agent runs; the static
-    // number is only the pre-membership fallback.
-    h.epoch = agent != nullptr ? agent->epoch() : cfg.map_epoch;
+
+  EmbedService svc(cfg.svc);
+  seed_service(svc, cfg);
+  d.health = [&svc](HealthInfo& h) {
     h.cache_entries = svc.cache_size();
     h.cache_hits = static_cast<std::uint64_t>(
         obs::counter("svc.cache_hits").value());
     h.cache_misses = static_cast<std::uint64_t>(
         obs::counter("svc.cache_misses").value());
-    h.uptime_ms = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::steady_clock::now() - g_start)
-            .count());
     h.inflight = svc.inflight();
-    const std::lock_guard<std::mutex> lock(out_mu);
-    write_health(out, h);
-    out.flush();
-    return true;
-  }
-  if (req.kind == RequestKind::kTrace) {
-    // Remote flight-recorder drain (a read, not a reset): the proxy's
-    // merge path pulls these from every shard into one Perfetto file.
-    TraceDump d;
-    d.process = cfg.shard_id >= 0
-                    ? "shard-" + std::to_string(cfg.shard_id)
-                    : "starringd";
-    d.epoch_ns = obs::trace::epoch_ns();
-    d.dropped = obs::trace::stats().dropped;
-    d.spans = obs::trace::collect();
-    const std::lock_guard<std::mutex> lock(out_mu);
-    write_trace(out, d);
-    out.flush();
-    return true;
-  }
-  if (req.kind == RequestKind::kSlow) {
-    // The slow-request flight recorder lives in the proxy; a shard
-    // answers the framed record with an empty report so callers can
-    // issue SLOW cluster-wide without special-casing.
-    const std::lock_guard<std::mutex> lock(out_mu);
-    write_stats(out, "# slow-request recorder: not a proxy\n");
-    out.flush();
-    return true;
-  }
-  if (req.kind == RequestKind::kSeed) {
+  };
+  d.seed = [&svc](ServiceRequest& req) {
     // Proxy-initiated read-through replication: insert the pushed
     // canonical ring as if it came from a snapshot warm start.  Trust
     // boundary is the same as FAIL — loopback peers are operators.
@@ -342,384 +245,44 @@ bool answer_command(ServiceRequest& req, std::ostream& out,
       svc.seed_cache(req.seed_key, std::move(req.seed_ring));
     obs::counter(why.empty() ? "svc.seeds_accepted" : "svc.seeds_rejected")
         .add();
-    const std::lock_guard<std::mutex> lock(out_mu);
-    if (why.empty())
-      out << "SEED ok\n";
-    else
-      out << "SEED bad " << why << "\n";
-    out.flush();
-    return true;
-  }
-  if (req.kind == RequestKind::kFail) {
-    std::string why;
-    const bool ok = failpoint::set(req.fail_config, &why);
-    const std::lock_guard<std::mutex> lock(out_mu);
-    if (ok)
-      out << "FAIL ok\n";
-    else
-      out << "FAIL bad "
-          << (why.empty() ? std::string("failpoints unavailable") : why)
-          << "\n";
-    out.flush();
-    return true;
-  }
-  if (req.kind == RequestKind::kGossip) {
-    if (agent == nullptr) {
-      // Not a member: a malformed-on-purpose line makes the peer's
-      // gossip parse fail fast instead of burning its read timeout.
-      const std::lock_guard<std::mutex> lock(out_mu);
-      out << "GOSSIP bad not a cluster member\n";
-      out.flush();
-      return true;
-    }
-    const cluster::MembershipAgent::Reply reply = agent->handle(*req.gossip);
-    if (FAILPOINT("gossip.ack")) {
-      // Partition chaos, receiver half: the updates were merged but
-      // the peer hears nothing back — its probe fails and we start
-      // accruing suspicion over there.
-      obs::counter("cluster.membership.acks_dropped").add();
-      return true;
-    }
-    const std::lock_guard<std::mutex> lock(out_mu);
-    if (reply.snapshot)
-      write_membership(out, *reply.snapshot);
-    else if (reply.ack)
-      write_gossip(out, *reply.ack);
-    out.flush();
-    return true;
-  }
-  if (req.kind == RequestKind::kMembers) {
-    MembershipRecord rec;
-    if (agent != nullptr) {
-      rec = agent->membership();
-    } else {
-      rec.epoch = cfg.map_epoch;  // static view: no live members list
-    }
-    const std::lock_guard<std::mutex> lock(out_mu);
-    write_membership(out, rec);
-    out.flush();
-    return true;
-  }
-  if (req.kind == RequestKind::kLeave) {
-    {
-      const std::lock_guard<std::mutex> lock(out_mu);
-      out << "LEAVE ok\n";
-      out.flush();
-    }
-    // Graceful departure: announce `left` to every peer (so nobody
-    // burns a suspicion window or trips a breaker on us), then stop
-    // accepting; the main loop's bounded drain answers what's queued.
-    // Detached: leave() dials peers and must not block this reader.
-    std::thread([agent] {
-      if (agent != nullptr) agent->leave();
-      g_stop = 1;
-    }).detach();
-    return true;
-  }
-  return false;
-}
-
-int serve_stdio(DaemonConfig& cfg) {
-  // Declared before the service: destroyed after it, so a signal-drain
-  // bound armed below covers the scheduler join in ~EmbedService.
-  std::optional<net::DrainGuard> drain_guard;
-  EmbedService svc(cfg.svc);
-  seed_service(svc, cfg);
-  std::mutex out_mu;
-  std::thread writer([&] {
-    while (auto resp = svc.next_response()) {
-      const std::lock_guard<std::mutex> lock(out_mu);
-      write_response(std::cout, *resp);
-      std::cout.flush();
-    }
-  });
-
-  int rc = 0;
-  std::string err;
-  while (g_stop == 0) {
-    auto req = read_request(std::cin, &err);
-    if (!req) {
-      if (!err.empty()) {
-        // Framing is token-based; a malformed record poisons the
-        // stream.  Report once and drain what was admitted.
-        const std::lock_guard<std::mutex> lock(out_mu);
-        ServiceResponse bad;
-        bad.status = ServiceStatus::kError;
-        bad.reason = "parse: " + err;
-        write_response(std::cout, bad);
-        std::cout.flush();
-        rc = 1;
-      }
-      break;
-    }
-    if (req->kind == RequestKind::kStats) {
-      const std::lock_guard<std::mutex> lock(out_mu);
-      write_stats(std::cout, obs::render_prometheus());
-      std::cout.flush();
-      continue;
-    }
-    if (answer_command(*req, std::cout, out_mu, svc, cfg, nullptr))
-      continue;
-    // wait=true: a full queue stops the reader, and the pipe buffer
-    // backpressures the writer on the other side.
-    svc.submit(std::move(*req));
-  }
-  // A clean EOF drain is allowed to take as long as the queue needs;
-  // a signal-initiated one is bounded.
-  if (g_stop != 0) drain_guard.emplace(cfg.drain_timeout_ms);
-  svc.drain();
-  writer.join();
-  return rc;
-}
-
-// --- TCP transport ----------------------------------------------------
-
-void serve_connection(int fd, EmbedService& svc, net::ConnRegistry& reg,
-                      const DaemonConfig& cfg,
-                      cluster::MembershipAgent* agent) {
-  // Set on write timeout (eviction), hard write error, or a response
-  // that failed to serialize; once dead the
-  // connection is no longer serviced — reads stop (the socket is
-  // hard-closed) and queued callbacks drop their responses.
-  std::atomic<bool> dead{false};
-  net::FdInBuf in_buf(fd);
-  net::FdOutBuf out_buf(fd, cfg.write_timeout_ms, &dead);
-  std::istream in(&in_buf);
-  std::ostream out(&out_buf);
-  // Per-connection response routing; responses may complete out of
-  // submission order across batches, ids correlate them.
-  std::mutex out_mu;
-  std::condition_variable done_cv;
-  std::mutex done_mu;
-  int outstanding = 0;
-
-  // Call under out_mu.  A response that fails to serialize (the
-  // io.write_response failpoint, or a stream that went bad underneath
-  // us) must not leave the connection half-alive: the peer would burn
-  // its full read timeout on a socket that will never answer.  Kill it
-  // instead so the client sees EOF promptly and fails over.
-  auto send_response = [&](const ServiceResponse& resp) {
-    if (write_response(out, resp)) {
-      out.flush();
-    } else {
-      out_buf.mark_dead();
-    }
+    return why;
+  };
+  // The slow-request recorder lives in the proxy; a shard answers the
+  // framed record with an empty report so callers can issue SLOW
+  // cluster-wide without special-casing.
+  d.slow = [] { return std::string("# slow-request recorder: not a proxy\n"); };
+  d.session = [&svc, tcp] {
+    return serve::Session([&svc, tcp](ServiceRequest&& req,
+                                      serve::Connection& conn) {
+      // Responses complete out of submission order across batches; ids
+      // correlate them.  On stdio a full queue blocks the reader, and
+      // the pipe buffer backpressures the writer on the other side; a
+      // TCP caller instead gets an explicit bounce, so it can back off
+      // or retry elsewhere.
+      const std::uint64_t id = req.id;
+      if (svc.submit(std::move(req), conn.defer(), /*wait=*/!tcp)) return;
+      ServiceResponse rej;
+      rej.id = id;
+      rej.status = ServiceStatus::kRejected;
+      rej.reason = "queue full";
+      conn.send(rej);
+    });
   };
 
-  std::string err;
-  while (!dead.load(std::memory_order_relaxed)) {
-    auto req = read_request(in, &err);
-    if (!req) {
-      if (!err.empty() && !dead.load(std::memory_order_relaxed)) {
-        const std::lock_guard<std::mutex> lock(out_mu);
-        ServiceResponse bad;
-        bad.status = ServiceStatus::kError;
-        bad.reason = "parse: " + err;
-        send_response(bad);
-      }
-      break;
-    }
-    if (req->kind == RequestKind::kStats) {
-      const std::lock_guard<std::mutex> lock(out_mu);
-      write_stats(out, obs::render_prometheus());
-      out.flush();
-      continue;
-    }
-    if (answer_command(*req, out, out_mu, svc, cfg, agent)) continue;
-    {
-      const std::lock_guard<std::mutex> lock(done_mu);
-      ++outstanding;
-    }
-    const std::uint64_t id = req->id;
-    const bool admitted = svc.submit(
-        *req,
-        [&, id](ServiceResponse resp) {
-          if (!dead.load(std::memory_order_relaxed)) {
-            const std::lock_guard<std::mutex> lock(out_mu);
-            send_response(resp);
-          }
-          {
-            // Notify under the lock: the connection thread may destroy
-            // the cv the moment it observes outstanding == 0.
-            const std::lock_guard<std::mutex> lock(done_mu);
-            --outstanding;
-            done_cv.notify_all();
-          }
-        },
-        /*wait=*/false);
-    if (!admitted) {
-      // Remote callers get an explicit bounce instead of a stalled
-      // socket, so they can back off or retry elsewhere.
-      if (!dead.load(std::memory_order_relaxed)) {
-        const std::lock_guard<std::mutex> lock(out_mu);
-        ServiceResponse rej;
-        rej.id = id;
-        rej.status = ServiceStatus::kRejected;
-        rej.reason = "queue full";
-        send_response(rej);
-      }
-      const std::lock_guard<std::mutex> lock(done_mu);
-      --outstanding;
-    }
-  }
-  {
-    std::unique_lock<std::mutex> lock(done_mu);
-    done_cv.wait(lock, [&] { return outstanding == 0; });
-  }
-  reg.remove(fd);
-  ::close(fd);
-}
-
-/// Over the connection cap: one `status rejected` response, then close.
-/// The socket is still blocking here (best effort; a peer that will not
-/// read its bounce is closed on anyway when the process exits).
-void refuse_connection(int fd) {
-  obs::counter("svc.rejected_conns").add();
-  net::FdOutBuf out_buf(fd, /*write_timeout_ms=*/1000, nullptr);
-  std::ostream out(&out_buf);
-  ServiceResponse rej;
-  rej.status = ServiceStatus::kRejected;
-  rej.reason = "connection limit";
-  write_response(out, rej);
-  out.flush();
-  ::close(fd);
-}
-
-int serve_tcp(DaemonConfig& cfg) {
-  int actual_port = 0;
-  std::string err;
-  const int listen_fd =
-      net::listen_loopback(cfg.listen_port, 16, &actual_port, &err);
-  if (listen_fd < 0) {
-    std::cerr << "starringd: " << err << "\n";
-    return 1;
-  }
-  // With --listen 0 this line is how a test or launch script learns
-  // the kernel-assigned port — keep it parseable.
-  std::cerr << "starringd: listening on 127.0.0.1:" << actual_port << "\n";
-
-  // Membership agent (member mode only): identity is the endpoint
-  // peers dial — the map's listed endpoint under static bootstrap, the
-  // actual listen address under --bootstrap/--join.
-  std::unique_ptr<cluster::MembershipAgent> agent;
-  if (cfg.shard_id >= 0 &&
-      (cfg.static_map || cfg.bootstrap || !cfg.join_addr.empty())) {
-    MemberRecord self;
-    self.shard_id = cfg.shard_id;
-    self.incarnation = 1;
-    self.addr = "127.0.0.1:" + std::to_string(actual_port);
-    cluster::MembershipOptions mopts;
-    mopts.probe_interval_ms = cfg.gossip_interval_ms;
-    mopts.suspicion_timeout_ms = cfg.suspicion_timeout_ms;
-    if (cfg.static_map) {
-      if (const cluster::ShardInfo* mine =
-              cfg.static_map->find(cfg.shard_id))
-        self.addr = net::to_string(mine->endpoint);
-      agent = std::make_unique<cluster::MembershipAgent>(self, mopts);
-      agent->bootstrap_from_map(*cfg.static_map);
-    } else if (cfg.bootstrap) {
-      agent = std::make_unique<cluster::MembershipAgent>(self, mopts);
-      agent->bootstrap_single();
-    } else {
-      agent = std::make_unique<cluster::MembershipAgent>(self, mopts);
-      if (!agent->join(cfg.join_addr)) {
-        std::cerr << "starringd: failed to join cluster via "
-                  << cfg.join_addr << "\n";
-        ::close(listen_fd);
-        return 1;
-      }
-      std::cerr << "starringd: joined cluster via " << cfg.join_addr
-                << ", epoch " << agent->epoch() << "\n";
-    }
-    agent->start();
-  }
-
-  // Declared before the service and registry: destroyed last, so the
-  // drain bound armed at shutdown covers the scheduler join too.
-  std::optional<net::DrainGuard> drain_guard;
-  EmbedService svc(cfg.svc);
-  seed_service(svc, cfg);
-  net::ConnRegistry reg;
-  obs::Counter& accept_errors = obs::counter("svc.accept_errors");
-  while (g_stop == 0) {
-    pollfd pfd{listen_fd, POLLIN, 0};
-    const int r = ::poll(&pfd, 1, 200 /*ms*/);
-    if (r <= 0) continue;  // timeout or EINTR: re-check g_stop
-    const int fd =
-        net::accept_transient(listen_fd, "starringd", accept_errors);
-    if (fd < 0) continue;
-    if (reg.count() >= static_cast<std::size_t>(cfg.max_conns)) {
-      refuse_connection(fd);
-      continue;
-    }
-    if (!net::set_nonblocking(fd)) {
-      ::close(fd);
-      continue;
-    }
-    reg.add(fd);
-    // Detached with the registry as the liveness ledger: finished
-    // connections release their thread immediately instead of
-    // accumulating joinable handles until shutdown.
-    std::thread([fd, &svc, &reg, &cfg, agent_raw = agent.get()] {
-      serve_connection(fd, svc, reg, cfg, agent_raw);
-    }).detach();
-  }
-  ::close(listen_fd);
-  // Depart politely on SIGTERM too (idempotent after a LEAVE command):
-  // peers record `left` and drop us from their maps without a
-  // suspicion window.  A SIGKILLed process never gets here, which is
-  // exactly the failure-detection path.
-  if (agent) {
-    agent->leave();
-    agent->stop();
-  }
-  drain_guard.emplace(cfg.drain_timeout_ms);
-  reg.shutdown_all(SHUT_RD);
-  if (!reg.wait_empty(cfg.drain_timeout_ms / 2)) {
-    // Laggards lose their half-closed grace: hard-close both ways so
-    // blocked reads and writes fail and the connections unwind.
-    reg.shutdown_all(SHUT_RDWR);
-    if (!reg.wait_empty(cfg.drain_timeout_ms / 4)) {
-      // Detached threads still reference svc/reg; exiting now is the
-      // only unwind that cannot touch freed state.
-      std::cerr << "starringd: connections failed to drain, aborting\n";
-      std::_Exit(1);
-    }
-  }
+  int rc = 0;
+  if (tcp)
+    serve::serve_tcp(d, listen_fd);
+  else if (!serve::serve_connection(d, STDIN_FILENO, STDOUT_FILENO))
+    rc = 1;
   svc.drain();
-  return 0;
+  return rc;
 }
 
 int daemon_main(int argc, char** argv) {
   auto cfg = parse_args(argc, argv);
   if (!cfg) return usage(argv[0]);
 
-  std::signal(SIGINT, on_signal);
-  std::signal(SIGTERM, on_signal);
-  std::signal(SIGPIPE, SIG_IGN);
-
-  if (!cfg->shard_map.empty()) {
-    // The map is the deployment's source of truth: refusing to start
-    // under an identity it does not list catches the classic copy-paste
-    // launch error before the proxy ever sees a mismatched HEALTH.
-    std::string err;
-    const auto map = cluster::ShardMap::load(cfg->shard_map, &err);
-    if (!map) {
-      std::cerr << "starringd: bad shard map: " << err << "\n";
-      return 1;
-    }
-    if (cfg->shard_id < 0 || map->find(cfg->shard_id) == nullptr) {
-      std::cerr << "starringd: --shard-id "
-                << (cfg->shard_id < 0 ? std::string("(unset)")
-                                      : std::to_string(cfg->shard_id))
-                << " not in " << cfg->shard_map << "\n";
-      return 1;
-    }
-    cfg->map_epoch = map->epoch();
-    // Retained: serve_tcp seeds the gossip agent's member set from it.
-    cfg->static_map =
-        std::make_shared<cluster::ShardMap>(std::move(*map));
-  }
+  serve::install_signal_handlers();
 
   // A live daemon is meant to be inspected (STATS), so the metrics
   // layer is always on here; batch tools still opt in via BenchRecorder
@@ -729,9 +292,9 @@ int daemon_main(int argc, char** argv) {
   // Cluster members mint trace/span ids in a per-process namespace so
   // a merged trace file never sees two processes reuse an id (shard k
   // gets namespace k+1; the proxy keeps the default 0).
-  if (cfg->shard_id >= 0)
+  if (cfg->daemon.shard_id >= 0)
     obs::trace::set_id_namespace(
-        static_cast<std::uint32_t>(cfg->shard_id) + 1);
+        static_cast<std::uint32_t>(cfg->daemon.shard_id) + 1);
 
   if (!cfg->oracle_snapshot.empty()) {
     // Warm start.  A rejected snapshot is a logged degradation, not a
@@ -784,7 +347,7 @@ int daemon_main(int argc, char** argv) {
     });
   }
 
-  const int rc = cfg->listen_port >= 0 ? serve_tcp(*cfg) : serve_stdio(*cfg);
+  const int rc = serve_daemon(*cfg);
 
   if (!cfg->trace_out.empty()) {
     dump_watcher_stop.store(true, std::memory_order_relaxed);

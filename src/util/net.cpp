@@ -146,11 +146,12 @@ int accept_transient(int listen_fd, const char* tag, obs::Counter& errors) {
 // --- fd <-> iostream glue --------------------------------------------
 
 FdInBuf::int_type FdInBuf::underflow() {
+  char* const buf = buf_.get();
   while (true) {
-    const ssize_t k = ::read(fd_, buf_, sizeof buf_);
+    const ssize_t k = ::read(fd_, buf, kStreamBufBytes);
     if (k > 0) {
-      setg(buf_, buf_, buf_ + k);
-      return traits_type::to_int_type(buf_[0]);
+      setg(buf, buf, buf + k);
+      return traits_type::to_int_type(buf[0]);
     }
     if (k == 0) return traits_type::eof();
     if (errno == EINTR) continue;
@@ -171,28 +172,44 @@ FdInBuf::int_type FdInBuf::underflow() {
   }
 }
 
-FdOutBuf::int_type FdOutBuf::overflow(int_type c) {
-  if (traits_type::eq_int_type(c, traits_type::eof())) return c;
-  const char ch = traits_type::to_char_type(c);
-  return write_all(&ch, 1) ? c : traits_type::eof();
+FdOutBuf::FdOutBuf(int fd, int write_timeout_ms, std::atomic<bool>* dead)
+    : fd_(fd),
+      timeout_ms_(write_timeout_ms),
+      dead_(dead != nullptr ? dead : &own_dead_),
+      buf_(new char[kStreamBufBytes]) {
+  setp(buf_.get(), buf_.get() + kStreamBufBytes);
 }
 
-std::streamsize FdOutBuf::xsputn(const char* s, std::streamsize count) {
-  return write_all(s, static_cast<std::size_t>(count))
-             ? count
-             : std::streamsize{0};
+FdOutBuf::~FdOutBuf() { drain(); }
+
+FdOutBuf::int_type FdOutBuf::overflow(int_type c) {
+  if (!drain()) return traits_type::eof();
+  if (traits_type::eq_int_type(c, traits_type::eof()))
+    return traits_type::not_eof(c);
+  *pptr() = traits_type::to_char_type(c);
+  pbump(1);
+  return c;
+}
+
+int FdOutBuf::sync() { return drain() ? 0 : -1; }
+
+bool FdOutBuf::drain() {
+  const std::size_t count = static_cast<std::size_t>(pptr() - pbase());
+  if (count == 0) return !dead_->load(std::memory_order_relaxed);
+  const bool ok = write_all(pbase(), count);
+  setp(buf_.get(), buf_.get() + kStreamBufBytes);
+  return ok;
 }
 
 void FdOutBuf::mark_dead() {
-  if (dead_ != nullptr) dead_->store(true, std::memory_order_relaxed);
+  dead_->store(true, std::memory_order_relaxed);
   // Both directions: wake a reader blocked in poll and refuse any
   // queued peer bytes — the connection is done.
   ::shutdown(fd_, SHUT_RDWR);
 }
 
 bool FdOutBuf::write_all(const char* p, std::size_t count) {
-  if (dead_ != nullptr && dead_->load(std::memory_order_relaxed))
-    return false;
+  if (dead_->load(std::memory_order_relaxed)) return false;
   while (count > 0) {
     const ssize_t k = ::write(fd_, p, count);
     if (k > 0) {
@@ -222,6 +239,18 @@ bool FdOutBuf::write_all(const char* p, std::size_t count) {
     return false;
   }
   return true;
+}
+
+Stream::Stream(const Endpoint& ep, int read_timeout_ms, int write_timeout_ms)
+    : fd_(connect_endpoint(ep, /*nonblocking=*/true)),
+      in_buf_(fd_, read_timeout_ms),
+      out_buf_(fd_, write_timeout_ms, nullptr),
+      in_(&in_buf_),
+      out_(&out_buf_) {}
+
+Stream::~Stream() {
+  out_.flush();  // empties the put area: nothing is left to write late
+  if (fd_ >= 0) ::close(fd_);
 }
 
 // --- daemon shutdown scaffolding -------------------------------------

@@ -20,8 +20,11 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <istream>
+#include <memory>
 #include <mutex>
 #include <optional>
+#include <ostream>
 #include <streambuf>
 #include <string>
 #include <thread>
@@ -69,12 +72,16 @@ int accept_transient(int listen_fd, const char* tag, obs::Counter& errors);
 
 // --- fd <-> iostream glue --------------------------------------------
 //
-// Minimal streambufs over a non-blocking socket.  Reads poll for data
-// (bounded by read_timeout_ms when >= 0); writes poll for POLLOUT
-// bounded by write_timeout_ms.  A write timeout evicts the peer
-// (svc.evicted_conns) and a hard error records io.write_errors; both
-// mark the optional `dead` flag so the owner stops servicing the
-// connection.
+// Buffered streambufs over a non-blocking socket.  Reads poll for data
+// (bounded by read_timeout_ms when >= 0); writes collect in a 64 KiB
+// put area that drains on overflow and on flush(), polling for POLLOUT
+// bounded by write_timeout_ms.  Every writer flushes after each
+// record, so one record costs one write(2) per 64 KiB instead of one
+// per token.  A write timeout evicts the peer (svc.evicted_conns) and a
+// hard error records io.write_errors; both mark the connection dead so
+// the owner stops servicing it.
+
+inline constexpr std::size_t kStreamBufBytes = 64 * 1024;
 
 class FdInBuf : public std::streambuf {
  public:
@@ -82,14 +89,16 @@ class FdInBuf : public std::streambuf {
   /// >= 0 bounds each poll — a proxy waiting on a shard reports EOF
   /// instead of hanging when the shard wedges.
   explicit FdInBuf(int fd, int read_timeout_ms = -1)
-      : fd_(fd), timeout_ms_(read_timeout_ms) {}
+      : fd_(fd),
+        timeout_ms_(read_timeout_ms),
+        buf_(new char[kStreamBufBytes]) {}
 
  private:
   int_type underflow() override;
 
   int fd_;
   int timeout_ms_;
-  char buf_[4096];
+  std::unique_ptr<char[]> buf_;
 };
 
 class FdOutBuf : public std::streambuf {
@@ -97,8 +106,10 @@ class FdOutBuf : public std::streambuf {
   /// write_timeout_ms < 0 means block forever.  `dead`, when non-null,
   /// is set on eviction or hard write error so the owner stops
   /// servicing the connection.
-  FdOutBuf(int fd, int write_timeout_ms, std::atomic<bool>* dead)
-      : fd_(fd), timeout_ms_(write_timeout_ms), dead_(dead) {}
+  FdOutBuf(int fd, int write_timeout_ms, std::atomic<bool>* dead);
+  /// Delivers what is still buffered on a live connection; a dead one
+  /// has no peer left, so its bytes are discarded.
+  ~FdOutBuf() override;
 
   /// Owner-invoked kill switch: sets `dead` and hard-closes the socket
   /// so the peer sees EOF.  Used when a response fails to serialize —
@@ -107,12 +118,38 @@ class FdOutBuf : public std::streambuf {
 
  private:
   int_type overflow(int_type c) override;
-  std::streamsize xsputn(const char* s, std::streamsize count) override;
+  int sync() override;
+  /// Write out the put area and empty it (also on failure).
+  bool drain();
   bool write_all(const char* p, std::size_t count);
 
   int fd_;
   int timeout_ms_;
-  std::atomic<bool>* dead_;
+  std::atomic<bool> own_dead_{false};
+  std::atomic<bool>* dead_;  // never null: `dead` or own_dead_
+  std::unique_ptr<char[]> buf_;
+};
+
+/// A dialed connection: a non-blocking socket with bounded iostreams.
+/// ok() is false when the connect failed; the streams then fail at
+/// once.  Destruction flushes what is buffered, then closes the socket.
+class Stream {
+ public:
+  Stream(const Endpoint& ep, int read_timeout_ms, int write_timeout_ms);
+  ~Stream();
+  Stream(const Stream&) = delete;
+  Stream& operator=(const Stream&) = delete;
+
+  bool ok() const { return fd_ >= 0; }
+  std::istream& in() { return in_; }
+  std::ostream& out() { return out_; }
+
+ private:
+  int fd_;
+  FdInBuf in_buf_;
+  FdOutBuf out_buf_;
+  std::istream in_;
+  std::ostream out_;
 };
 
 // --- daemon shutdown scaffolding -------------------------------------

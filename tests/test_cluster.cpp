@@ -1,8 +1,8 @@
 // Cluster placement + routing unit tests: the FNV-1a test vectors, the
 // shard-map grammar, the consistent-hash ring's balance / minimal-
 // disruption / replica-set properties, endpoint parsing, and the
-// circuit-breaker state machine (driven with injected time — no
-// sleeps).
+// circuit-breaker state machine, fed by data-path outcomes and by SWIM
+// membership verdicts (driven with injected time — no sleeps).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "cluster/membership.hpp"
 #include "cluster/router.hpp"
 #include "cluster/shard_map.hpp"
 #include "obs/metrics.hpp"
@@ -333,6 +334,41 @@ TEST(Router, SwapMapDropsDepartedBreakersAndRoutesNewSet) {
   r.swap_map(back);
   EXPECT_TRUE(r.allow(2, t0)) << "rejoined shard starts with a clean breaker";
   EXPECT_EQ(r.candidates("class-key", t0).size(), 3u);
+}
+
+TEST(Breaker, SwimSuspectDemotesAndAliveOrRefuteRestores) {
+  ShardRouter r = make_router(3);
+  const Clock::time_point t0{};
+  const Clock::time_point t1 = t0 + milliseconds(10);
+  const std::string key = "class-key";
+  const auto healthy = r.candidates(key, t0);
+  ASSERT_EQ(healthy.size(), 3u);
+  const int victim = healthy[0];
+  MembershipEvent ev;
+  ev.member.shard_id = victim;
+  for (const auto restore :
+       {MembershipEvent::Kind::kAlive, MembershipEvent::Kind::kRefute}) {
+    ev.kind = MembershipEvent::Kind::kSuspect;
+    r.observe(ev, t0);
+    EXPECT_EQ(r.breaker_state(victim, t0), BreakerState::kOpen)
+        << "one suspect verdict opens the breaker, no request needed";
+    const auto demoted = r.candidates(key, t0);
+    ASSERT_EQ(demoted.size(), 3u) << "suspects are demoted, never removed";
+    EXPECT_EQ(demoted.back(), victim);
+    ev.kind = restore;
+    r.observe(ev, t1);
+    EXPECT_EQ(r.candidates(key, t1), healthy)
+        << membership_event_name(restore) << " restores the order";
+  }
+  // A death opens the breaker too; observer (shard -1) verdicts touch
+  // nothing.
+  ev.kind = MembershipEvent::Kind::kDead;
+  r.observe(ev, t0);
+  EXPECT_FALSE(r.allow(victim, t0));
+  ev.member.shard_id = -1;
+  ev.kind = MembershipEvent::Kind::kSuspect;
+  r.observe(ev, t0);
+  EXPECT_EQ(r.consecutive_failures(healthy[1]), 0);
 }
 
 // ---- membership-driven map churn (with()/without() sequences) -------

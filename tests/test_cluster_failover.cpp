@@ -1,9 +1,12 @@
-// Process-level cluster tests: spawn real starringd shards and a real
-// starring-proxy, SIGKILL the owner of a class mid-conversation, and
-// assert a replica serves the retry (`status ok`, cluster.failover
-// counted).  A second test storms the proxy's failpoints via the
-// STARRING_FAILPOINTS environment and asserts every request still
-// reaches a terminal status.
+// Process-level cluster tests: spawn real starringd shards (formed with
+// --bootstrap/--join) and a real starring-proxy, SIGKILL the owner of a
+// class mid-conversation, and assert a replica serves the retry
+// (`status ok`, cluster.failover counted).  A second test storms the
+// proxy's failpoints via the STARRING_FAILPOINTS environment and
+// asserts every request still reaches a terminal status.  A third
+// sends every control command to a shard and to the proxy and parses
+// each reply with the matching reader: both daemons answer through the
+// one shared command table.
 //
 // These tests exec the binaries the build just produced, located
 // relative to /proc/self/exe (build/tests/ -> build/src/...).  If the
@@ -20,13 +23,14 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <istream>
 #include <memory>
 #include <optional>
-#include <ostream>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cluster/shard_map.hpp"
@@ -106,26 +110,11 @@ int wait_for_port(const std::string& stderr_path, int timeout_ms = 10000) {
   return -1;
 }
 
-/// A blocking client connection with bounded reads, so a wedged server
-/// fails the test instead of hanging it.
-struct Conn {
+/// A client connection with bounded reads, so a wedged server fails the
+/// test instead of hanging it.
+struct Conn : net::Stream {
   explicit Conn(const net::Endpoint& ep, int read_timeout_ms = 20000)
-      : fd(net::connect_endpoint(ep)),
-        in_buf(fd, read_timeout_ms),
-        out_buf(fd, /*write_timeout_ms=*/5000, &dead),
-        in(&in_buf),
-        out(&out_buf) {}
-  ~Conn() {
-    if (fd >= 0) ::close(fd);
-  }
-  bool ok() const { return fd >= 0; }
-
-  int fd;
-  std::atomic<bool> dead{false};
-  net::FdInBuf in_buf;
-  net::FdOutBuf out_buf;
-  std::istream in;
-  std::ostream out;
+      : net::Stream(ep, read_timeout_ms, /*write_timeout_ms=*/5000) {}
 };
 
 class ClusterProcessTest : public ::testing::Test {
@@ -149,53 +138,67 @@ class ClusterProcessTest : public ::testing::Test {
       if (pid > 0) ::waitpid(pid, nullptr, 0);
   }
 
-  /// Reserve a free loopback port by binding and immediately closing a
-  /// listener (SO_REUSEADDR on the daemon side makes the handoff safe).
-  static int reserve_port() {
-    int port = 0;
-    std::string err;
-    const int fd = net::listen_loopback(0, 1, &port, &err);
-    if (fd < 0) return -1;
-    ::close(fd);
-    return port;
-  }
-
-  /// Boot `count` shards plus the proxy; fills shard_pids_/ports and
-  /// returns the proxy endpoint.
-  net::Endpoint boot_cluster(int count,
+  /// Boot `count` shards — shard 0 --bootstrap, the rest --join it —
+  /// plus a proxy that joins through shard 0, then wait until the
+  /// proxy's MEMBERS view shows every shard alive.  Fills shard_pids_
+  /// and returns the proxy endpoint.
+  net::Endpoint boot_cluster(int count, std::vector<std::string> extra,
                              const std::vector<std::string>& proxy_extra,
                              const std::vector<std::string>& proxy_env) {
-    std::ostringstream map;
-    map << "starring-shard-map v1\nepoch 1\nreplication 2\nshards "
-        << count << "\n";
-    for (int i = 0; i < count; ++i) {
-      shard_ports_.push_back(reserve_port());
-      EXPECT_GT(shard_ports_.back(), 0);
-      map << "shard " << i << " 127.0.0.1:" << shard_ports_.back() << "\n";
-    }
-    map << "end\n";
-    map_path_ = dir_ + "/shards.map";
-    std::ofstream(map_path_) << map.str();
-
+    std::string seed_addr;
     for (int i = 0; i < count; ++i) {
       const std::string log = dir_ + "/shard" + std::to_string(i) + ".log";
-      const pid_t pid = spawn(
-          {starringd_, "--listen", std::to_string(shard_ports_[i]),
-           "--shard-id", std::to_string(i), "--shard-map", map_path_},
-          log);
+      std::vector<std::string> argv = {starringd_, "--listen", "0",
+                                       "--shard-id", std::to_string(i)};
+      if (i == 0) {
+        argv.push_back("--bootstrap");
+      } else {
+        argv.push_back("--join");
+        argv.push_back(seed_addr);
+      }
+      argv.insert(argv.end(), extra.begin(), extra.end());
+      const pid_t pid = spawn(argv, log);
       children_.push_back(pid);
       shard_pids_.push_back(pid);
-      EXPECT_EQ(wait_for_port(log), shard_ports_[i]) << "shard " << i;
+      const int port = wait_for_port(log);
+      EXPECT_GT(port, 0) << "shard " << i << " never announced its port";
+      shard_eps_.push_back(net::Endpoint{"127.0.0.1", port});
+      if (i == 0) seed_addr = net::to_string(shard_eps_[0]);
     }
 
-    std::vector<std::string> argv = {proxy_, "--shard-map", map_path_,
+    std::vector<std::string> argv = {proxy_, "--join", seed_addr,
                                      "--listen", "0"};
+    argv.insert(argv.end(), extra.begin(), extra.end());
     argv.insert(argv.end(), proxy_extra.begin(), proxy_extra.end());
     const std::string log = dir_ + "/proxy.log";
     children_.push_back(spawn(argv, log, proxy_env));
     const int port = wait_for_port(log);
     EXPECT_GT(port, 0) << "proxy never announced its port";
-    return net::Endpoint{"127.0.0.1", port};
+    const net::Endpoint proxy{"127.0.0.1", port};
+    for (int waited = 0; waited < 10000; waited += 50) {
+      if (alive_shards(proxy) == count) return proxy;
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    ADD_FAILURE() << "proxy never saw all " << count << " shards alive";
+    return proxy;
+  }
+
+  /// The member record list of `ep`'s MEMBERS view (empty on failure).
+  static std::vector<MemberRecord> members(const net::Endpoint& ep) {
+    Conn c(ep);
+    ServiceRequest req;
+    req.kind = RequestKind::kMembers;
+    if (!c.ok() || !write_request(c.out(), req) || !c.out().flush())
+      return {};
+    const auto rec = read_membership(c.in());
+    return rec ? rec->members : std::vector<MemberRecord>{};
+  }
+
+  static int alive_shards(const net::Endpoint& ep) {
+    int alive = 0;
+    for (const MemberRecord& m : members(ep))
+      alive += m.shard_id >= 0 && m.state == MemberWireState::kAlive;
+    return alive;
   }
 
   static std::optional<ServiceResponse> embed(Conn& c, std::uint64_t id,
@@ -204,10 +207,9 @@ class ClusterProcessTest : public ::testing::Test {
     req.id = id;
     req.n = n;
     req.faults = f;
-    if (!write_request(c.out, req)) return std::nullopt;
-    c.out.flush();
-    if (!c.out) return std::nullopt;
-    return read_response(c.in);
+    if (!write_request(c.out(), req)) return std::nullopt;
+    if (!c.out().flush()) return std::nullopt;
+    return read_response(c.in());
   }
 
   static std::optional<double> scrape_counter(const net::Endpoint& ep,
@@ -216,39 +218,50 @@ class ClusterProcessTest : public ::testing::Test {
     if (!c.ok()) return std::nullopt;
     ServiceRequest req;
     req.kind = RequestKind::kStats;
-    if (!write_request(c.out, req)) return std::nullopt;
-    c.out.flush();
-    const auto body = read_stats(c.in);
+    if (!write_request(c.out(), req)) return std::nullopt;
+    c.out().flush();
+    const auto body = read_stats(c.in());
     if (!body) return std::nullopt;
     return loadgen::parse_scalar(*body, metric);
   }
 
-  std::string bdir_, starringd_, proxy_, dir_, map_path_;
+  std::string bdir_, starringd_, proxy_, dir_;
   std::vector<pid_t> children_;
   std::vector<pid_t> shard_pids_;
-  std::vector<int> shard_ports_;
+  std::vector<net::Endpoint> shard_eps_;
 };
 
 TEST_F(ClusterProcessTest, ReplicaServesAfterOwnerSigkill) {
-  // Health polling off: the breaker state when the second request
-  // arrives is exactly what the request path itself produced, so the
-  // dead owner is still first in the candidate list and the serve
-  // must go through the failover path (cluster.failover increments).
-  const net::Endpoint proxy =
-      boot_cluster(3, {"--health-interval-ms", "0", "--seed-threshold", "1"},
-                   {});
+  // SWIM held out of the race: with a 60 s probe period and suspicion
+  // window, no membership verdict reaches the breakers before the
+  // second request, so the dead owner is still first in the candidate
+  // list and the serve must go through the data-path failover
+  // (cluster.failover increments).
+  const net::Endpoint proxy = boot_cluster(
+      3, {"--gossip-interval-ms", "60000", "--suspicion-timeout-ms", "60000"},
+      {"--seed-threshold", "1"}, {});
 
   const int n = 5;
   const StarGraph g(n);
   const FaultSet faults = random_vertex_faults(g, 2, 11);
   const auto canon = canonicalize(n, faults);
 
-  // Compute the owner in-process from the same map file — placement is
-  // deterministic across processes (test_cluster pins this).
-  std::string err;
-  const auto map = cluster::ShardMap::load(map_path_, &err);
-  ASSERT_TRUE(map.has_value()) << err;
-  const int owner = map->owner(canon.key);
+  // Compute the owner in-process from the proxy's MEMBERS view —
+  // placement is a pure function of the member set (test_cluster pins
+  // this), and the view's map parameters are the proxy's own.
+  Conn mc(proxy);
+  ServiceRequest mreq;
+  mreq.kind = RequestKind::kMembers;
+  ASSERT_TRUE(write_request(mc.out(), mreq) && mc.out().flush());
+  const auto view = read_membership(mc.in());
+  ASSERT_TRUE(view.has_value());
+  std::vector<cluster::ShardInfo> shards;
+  for (const MemberRecord& m : view->members)
+    if (m.shard_id >= 0 && m.state == MemberWireState::kAlive)
+      shards.push_back({m.shard_id, *net::parse_endpoint(m.addr)});
+  const cluster::ShardMap map = cluster::ShardMap::make(
+      shards, view->epoch, view->replication, view->vnodes);
+  const int owner = map.owner(canon.key);
   ASSERT_GE(owner, 0);
 
   Conn c(proxy);
@@ -279,7 +292,7 @@ TEST_F(ClusterProcessTest, ChaosStormEveryRequestReachesTerminalStatus) {
   // are answered error by the armed proxy.forward site — but every
   // single one gets a terminal response.
   const net::Endpoint proxy = boot_cluster(
-      3, {"--health-interval-ms", "200"},
+      3, {}, {},
       {"STARRING_FAILPOINTS="
        "proxy.upstream=error@p:0.4,proxy.forward=error@p:0.1"});
 
@@ -304,6 +317,67 @@ TEST_F(ClusterProcessTest, ChaosStormEveryRequestReachesTerminalStatus) {
   }
   EXPECT_EQ(ok + errors + rejected + timeouts, kRequests);
   EXPECT_GT(ok, 0) << "storm at p:0.4 should still let most through";
+}
+
+
+TEST_F(ClusterProcessTest, ControlCommandsParseAlikeOnShardAndProxy) {
+  const net::Endpoint proxy = boot_cluster(2, {}, {}, {});
+  // A one-line reply: `word` followed by "ok" (or "bad <reason>" when
+  // `bad_ok` — the proxy refuses SEED by design).
+  const auto line_reply = [](const char* word, bool bad_ok) {
+    return [word, bad_ok](std::istream& is) {
+      std::string w, verdict, rest;
+      if (!(is >> w) || w != word) return false;
+      if (std::string(word) == "PONG") return true;
+      if (!(is >> verdict)) return false;
+      std::getline(is, rest);
+      return verdict == "ok" || (bad_ok && verdict == "bad" && !rest.empty());
+    };
+  };
+  struct Row {
+    const char* name;
+    ServiceRequest req;
+    std::function<bool(std::istream&)> parses;
+  };
+  const auto make = [](RequestKind kind) {
+    ServiceRequest r;
+    r.kind = kind;
+    return r;
+  };
+  ServiceRequest fail = make(RequestKind::kFail);
+  fail.fail_config = "clear";
+  ServiceRequest seed = make(RequestKind::kSeed);
+  seed.n = 4;
+  seed.seed_key = "parity-check";
+  seed.seed_ring = {0, 1, 2, 3};
+  const std::vector<Row> rows = {
+      {"PING", make(RequestKind::kPing), line_reply("PONG", false)},
+      {"STATS", make(RequestKind::kStats),
+       [](std::istream& is) { return read_stats(is).has_value(); }},
+      {"HEALTH", make(RequestKind::kHealth),
+       [](std::istream& is) { return read_health(is).has_value(); }},
+      {"TRACE", make(RequestKind::kTrace),
+       [](std::istream& is) { return read_trace(is).has_value(); }},
+      {"SLOW", make(RequestKind::kSlow),
+       [](std::istream& is) { return read_stats(is).has_value(); }},
+      {"MEMBERS", make(RequestKind::kMembers),
+       [](std::istream& is) { return read_membership(is).has_value(); }},
+      {"SEED", seed, line_reply("SEED", true)},
+      {"FAIL", fail, line_reply("FAIL", false)},
+  };
+  const std::vector<std::pair<const char*, net::Endpoint>> daemons = {
+      {"shard", shard_eps_[0]}, {"proxy", proxy}};
+  for (const auto& [who, ep] : daemons) {
+    // One connection per daemon: every reply must also leave the
+    // stream positioned at the next record.
+    Conn c(ep);
+    ASSERT_TRUE(c.ok()) << who;
+    for (const Row& row : rows) {
+      ASSERT_TRUE(write_request(c.out(), row.req) && c.out().flush())
+          << who << " " << row.name;
+      EXPECT_TRUE(row.parses(c.in())) << who << " " << row.name;
+    }
+  }
 }
 
 }  // namespace

@@ -22,7 +22,11 @@ class OracleStoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
     obs::set_enabled(true);
-    path_ = ::testing::TempDir() + "oracle_snapshot_test.bin";
+    // One file per test: ctest runs each test as its own process, in
+    // parallel, so a shared name lets one test delete another's file.
+    path_ = ::testing::TempDir() + "oracle_snapshot_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".bin";
     std::remove(path_.c_str());
   }
   void TearDown() override {
