@@ -3,11 +3,13 @@
 # test suite (ASan+UBSan with an end-to-end starringd/starring-cli
 # service smoke, and TSan for the worker pool), then a Release-mode
 # bench smoke diffed against the committed baseline artifact with
-# scripts/bench_compare.py.
+# scripts/bench_compare.py, and last the end-to-end benchmark's own
+# smoke test (ringbench/smoke_test.py).
 #
 # Usage: scripts/ci.sh [--tier1-only | --san-only | --tsan-only |
 #                       --bench-only | --service-only | --chaos-only |
-#                       --load-only | --simdoff-only | --cluster-only]
+#                       --load-only | --simdoff-only | --cluster-only |
+#                       --ringbench-only]
 # Env:   JOBS=<n> to cap build/test parallelism (default: nproc).
 set -euo pipefail
 
@@ -23,16 +25,18 @@ run_chaos=1
 run_load=1
 run_simdoff=1
 run_cluster=1
+run_ringbench=1
 case "${1:-}" in
-  --tier1-only) run_san=0; run_tsan=0; run_bench=0; run_service=0; run_chaos=0; run_load=0; run_simdoff=0; run_cluster=0 ;;
-  --san-only) run_tier1=0; run_tsan=0; run_bench=0; run_service=0; run_chaos=0; run_load=0; run_simdoff=0; run_cluster=0 ;;
-  --tsan-only) run_tier1=0; run_san=0; run_bench=0; run_service=0; run_chaos=0; run_load=0; run_simdoff=0; run_cluster=0 ;;
-  --bench-only) run_tier1=0; run_san=0; run_tsan=0; run_service=0; run_chaos=0; run_load=0; run_simdoff=0; run_cluster=0 ;;
-  --service-only) run_tier1=0; run_san=0; run_tsan=0; run_bench=0; run_chaos=0; run_load=0; run_simdoff=0; run_cluster=0 ;;
-  --chaos-only) run_tier1=0; run_san=0; run_tsan=0; run_bench=0; run_service=0; run_load=0; run_simdoff=0; run_cluster=0 ;;
-  --load-only) run_tier1=0; run_san=0; run_tsan=0; run_bench=0; run_service=0; run_chaos=0; run_simdoff=0; run_cluster=0 ;;
-  --simdoff-only) run_tier1=0; run_san=0; run_tsan=0; run_bench=0; run_service=0; run_chaos=0; run_load=0; run_cluster=0 ;;
-  --cluster-only) run_tier1=0; run_san=0; run_tsan=0; run_bench=0; run_service=0; run_chaos=0; run_load=0; run_simdoff=0 ;;
+  --tier1-only) run_san=0; run_tsan=0; run_bench=0; run_service=0; run_chaos=0; run_load=0; run_simdoff=0; run_cluster=0; run_ringbench=0 ;;
+  --san-only) run_tier1=0; run_tsan=0; run_bench=0; run_service=0; run_chaos=0; run_load=0; run_simdoff=0; run_cluster=0; run_ringbench=0 ;;
+  --tsan-only) run_tier1=0; run_san=0; run_bench=0; run_service=0; run_chaos=0; run_load=0; run_simdoff=0; run_cluster=0; run_ringbench=0 ;;
+  --bench-only) run_tier1=0; run_san=0; run_tsan=0; run_service=0; run_chaos=0; run_load=0; run_simdoff=0; run_cluster=0; run_ringbench=0 ;;
+  --service-only) run_tier1=0; run_san=0; run_tsan=0; run_bench=0; run_chaos=0; run_load=0; run_simdoff=0; run_cluster=0; run_ringbench=0 ;;
+  --chaos-only) run_tier1=0; run_san=0; run_tsan=0; run_bench=0; run_service=0; run_load=0; run_simdoff=0; run_cluster=0; run_ringbench=0 ;;
+  --load-only) run_tier1=0; run_san=0; run_tsan=0; run_bench=0; run_service=0; run_chaos=0; run_simdoff=0; run_cluster=0; run_ringbench=0 ;;
+  --simdoff-only) run_tier1=0; run_san=0; run_tsan=0; run_bench=0; run_service=0; run_chaos=0; run_load=0; run_cluster=0; run_ringbench=0 ;;
+  --cluster-only) run_tier1=0; run_san=0; run_tsan=0; run_bench=0; run_service=0; run_chaos=0; run_load=0; run_simdoff=0; run_ringbench=0 ;;
+  --ringbench-only) run_tier1=0; run_san=0; run_tsan=0; run_bench=0; run_service=0; run_chaos=0; run_load=0; run_simdoff=0; run_cluster=0 ;;
   "") ;;
   *) echo "unknown flag: $1" >&2; exit 2 ;;
 esac
@@ -723,16 +727,27 @@ if [[ "$run_simdoff" == 1 ]]; then
   echo "== build matrix: -DSTARRING_SIMD=OFF (scalar-only kernels) =="
   cmake -B build-simdoff -S . -DSTARRING_SIMD=OFF
   cmake --build build-simdoff -j "$JOBS" \
-    --target test_simd test_canonical test_oracle_store
+    --target test_simd test_canonical test_oracle_store test_verify
   # Run the binaries directly: ctest's discovered lists cover targets
-  # this leg deliberately did not build.
+  # this leg deliberately did not build.  The verifier unranks through
+  # batch_unrank, so it runs on the scalar kernel here too.
   ./build-simdoff/tests/test_simd
   ./build-simdoff/tests/test_canonical
   ./build-simdoff/tests/test_oracle_store
+  ./build-simdoff/tests/test_verify
   echo "== env override: STARRING_SIMD=off on the SIMD-enabled build =="
   cmake -B build -S .
-  cmake --build build -j "$JOBS" --target test_simd
+  cmake --build build -j "$JOBS" --target test_simd test_verify
   STARRING_SIMD=off ./build/tests/test_simd
+  STARRING_SIMD=off ./build/tests/test_verify
+fi
+
+if [[ "$run_ringbench" == 1 ]]; then
+  echo "== ringbench smoke: every workload, client verification live =="
+  # Builds its own tree (.bench_build/) and starts its own daemons on
+  # ephemeral ports.  Its --corrupt-every check proves the client-side
+  # verifier still rejects bad rings.
+  python3 ringbench/smoke_test.py
 fi
 
 echo "== ci.sh: all requested stages passed =="

@@ -1,7 +1,10 @@
 #include "perm/simd.hpp"
 
+#include <array>
 #include <cstdlib>
 #include <cstring>
+#include <type_traits>
+#include <utility>
 
 #if defined(STARRING_SIMD_DISABLED)
 // Vector tiers compiled out; the dispatcher below pins to scalar.
@@ -122,7 +125,8 @@ constexpr Kernels kScalarKernels = {scalar_rank, scalar_unrank, scalar_parity,
 //   inverse  — four permutations per vector as u64 lanes, scattering
 //              slot indices with vpsllvq variable shifts;
 //   unrank   — stays lane-serial but swaps the seed's kth-set-bit scan
-//              for BMI2 pdep.
+//              for BMI2 pdep, and is instantiated per n so the
+//              factorial divisions become multiplies.
 // ---------------------------------------------------------------------------
 
 __attribute__((target("avx2,bmi2"))) inline __m128i expand16(
@@ -207,17 +211,29 @@ __attribute__((target("avx2,bmi2"))) void avx2_parity(
   }
 }
 
-__attribute__((target("avx2,bmi2"))) void avx2_unrank(const VertexId* ranks,
-                                                      std::size_t count, int n,
-                                                      std::uint64_t* out) {
+// One instance per n, so after the digit loop unrolls every factorial
+// divisor is a compile-time constant and each Lehmer digit costs a
+// multiply-shift instead of a 64-bit divide.  Digit i is
+// Q_i mod (n-i) = Q_i - (n-i)·Q_{i-1} with Q_i = r / (n-1-i)!, so no
+// digit waits on the previous remainder; ranks below 12! < 2^32 use
+// 32-bit arithmetic.
+template <int N>
+__attribute__((target("avx2,bmi2"))) void avx2_unrank_n(const VertexId* ranks,
+                                                        std::size_t count,
+                                                        std::uint64_t* out) {
+  using R = std::conditional_t<(N <= 12), std::uint32_t, std::uint64_t>;
   for (std::size_t k = 0; k < count; ++k) {
-    VertexId r = ranks[k];
-    std::uint32_t unused = (1u << n) - 1;
+    const R r = static_cast<R>(ranks[k]);
+    R prev = 0;
+    std::uint32_t unused = (1u << N) - 1;
     std::uint64_t bits = 0;
-    for (int i = 0; i < n; ++i) {
-      const std::uint64_t f = factorial(n - 1 - i);
-      const std::uint32_t digit = static_cast<std::uint32_t>(r / f);
-      r %= f;
+#pragma GCC unroll 16
+    for (int i = 0; i < N; ++i) {
+      const R f = static_cast<R>(factorial(N - 1 - i));
+      const R q = r / f;
+      const auto digit =
+          static_cast<std::uint32_t>(q - static_cast<R>(N - i) * prev);
+      prev = q;
       // pdep deposits the single bit into the digit-th set position of
       // `unused` — the seed's linear kth-set-bit scan in one op.
       const std::uint32_t bit = _pdep_u32(1u << digit, unused);
@@ -226,6 +242,21 @@ __attribute__((target("avx2,bmi2"))) void avx2_unrank(const VertexId* ranks,
     }
     out[k] = bits;
   }
+}
+
+using UnrankN = void (*)(const VertexId*, std::size_t, std::uint64_t*);
+
+template <std::size_t... N>
+constexpr std::array<UnrankN, sizeof...(N)> avx2_unrank_table(
+    std::index_sequence<N...>) {
+  return {&avx2_unrank_n<static_cast<int>(N)>...};
+}
+
+void avx2_unrank(const VertexId* ranks, std::size_t count, int n,
+                 std::uint64_t* out) {
+  static constexpr auto kByN =
+      avx2_unrank_table(std::make_index_sequence<kMaxN + 1>{});
+  kByN[static_cast<std::size_t>(n)](ranks, count, out);
 }
 
 __attribute__((target("avx2,bmi2"))) void avx2_relabel(

@@ -1,6 +1,5 @@
 #include "stargraph/star_graph.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 namespace starring {
@@ -25,22 +24,6 @@ Graph StarGraph::materialize() const {
     }
   }
   return g;
-}
-
-bool is_star_ring(const StarGraph& g, const std::vector<VertexId>& ring) {
-  if (ring.size() < 3) return false;
-  std::vector<VertexId> sorted = ring;
-  std::sort(sorted.begin(), sorted.end());
-  if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end())
-    return false;
-  if (sorted.back() >= g.num_vertices()) return false;
-  Perm prev = g.vertex(ring.back());
-  for (const VertexId id : ring) {
-    const Perm cur = g.vertex(id);
-    if (!prev.adjacent(cur)) return false;
-    prev = cur;
-  }
-  return true;
 }
 
 }  // namespace starring

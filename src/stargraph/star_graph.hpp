@@ -59,10 +59,4 @@ class StarGraph {
   int n_;
 };
 
-/// Checks that `ring` (vertex ids) is a valid simple cycle of S_n without
-/// materializing the graph: pairwise-distinct ids, consecutive adjacency
-/// via the packed permutation test.  The workhorse of the independent
-/// embedding verifier (see core/verify.hpp for the fault-aware version).
-bool is_star_ring(const StarGraph& g, const std::vector<VertexId>& ring);
-
 }  // namespace starring

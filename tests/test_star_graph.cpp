@@ -82,27 +82,6 @@ TEST(StarGraph, StarGraphIsConnected) {
   }
 }
 
-TEST(StarGraph, IsStarRingAcceptsS3Cycle) {
-  const StarGraph sg(3);
-  // Walk the 6-cycle from the identity.
-  std::vector<VertexId> ring;
-  Perm p = Perm::identity(3);
-  int dim = 1;
-  for (int i = 0; i < 6; ++i) {
-    ring.push_back(p.rank());
-    p = p.star_move(dim);
-    dim = dim == 1 ? 2 : 1;
-  }
-  EXPECT_TRUE(is_star_ring(sg, ring));
-}
-
-TEST(StarGraph, IsStarRingRejectsBadInput) {
-  const StarGraph sg(4);
-  EXPECT_FALSE(is_star_ring(sg, {0, 1}));                   // too short
-  EXPECT_FALSE(is_star_ring(sg, {0, 1, 1}));                // repeat
-  EXPECT_FALSE(is_star_ring(sg, {0, 1, factorial(4) + 5}));  // out of range
-}
-
 TEST(StarGraph, VertexIdRoundTrip) {
   const StarGraph g(7);
   for (VertexId id = 0; id < g.num_vertices(); id += 101)
